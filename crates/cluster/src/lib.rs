@@ -1,28 +1,12 @@
-//! Clustering substrate for group-level I/O analysis baselines.
+//! Clustering substrate for the group-level I/O analysis baseline.
 //!
 //! The paper's Fig. 1 critiques Gauge (Del Rosario et al., 2020), which
 //! clusters jobs with HDBSCAN and diagnoses each *cluster*. Reproducing
-//! that figure requires the baseline itself, so this crate implements:
-//!
-//! * [`hdbscan`] — hierarchical density-based clustering: core distances,
-//!   mutual-reachability minimum spanning tree, condensed tree, and
-//!   excess-of-mass cluster extraction;
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding (comparison
-//!   baseline);
-//! * [`knn`] — k-nearest-neighbour regression/classification (the
-//!   "classify an unseen job into an existing group" path whose error rate
-//!   the paper criticises);
-//! * [`agglomerative`] — bottom-up hierarchical clustering (Costa et al.'s
-//!   grouping method, the other family the paper cites).
+//! that figure requires the baseline itself, so this crate implements
+//! [`hdbscan`] — hierarchical density-based clustering: core distances,
+//! mutual-reachability minimum spanning tree, condensed tree, and
+//! excess-of-mass cluster extraction.
 
-pub mod agglomerative;
 pub mod hdbscan;
-pub mod kmeans;
-pub mod knn;
-pub mod metrics;
 
-pub use agglomerative::{Agglomerative, Linkage};
 pub use hdbscan::{Hdbscan, HdbscanConfig, NOISE};
-pub use kmeans::{KMeans, KMeansConfig};
-pub use knn::Knn;
-pub use metrics::{adjusted_rand_index, silhouette_score};

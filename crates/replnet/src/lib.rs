@@ -4,6 +4,19 @@
 //! a follower on another host runs [`pull_pass`] against that URL and
 //! ends up with a byte-identical copy it can serve failover reads from.
 //!
+//! # One engine, two sources
+//!
+//! This crate adds a transport, not a second replication protocol. The
+//! per-shard pass (segment mirror, derived resume offset, ordinal-join
+//! check, torn-tail truncation, verify-then-publish) is
+//! [`aiio_shard::replica::pull_shard`], the same engine
+//! `ShardedStore::replicate` runs against a local directory. Here it
+//! reads through an HTTP source that adds per-request deadlines, retries
+//! and the segment CRC-trailer check, and the `/repl/{s}/*` endpoints
+//! answer through [`aiio_shard::replica::DirSource`]. [`pull_pass`]
+//! itself only keeps the fleet-level order: manifest, then every shard,
+//! then the ordinal journal last.
+//!
 //! # Wire format
 //!
 //! All endpoints are plain HTTP/1.1, one exchange per connection
@@ -36,9 +49,10 @@ pub mod client;
 pub mod pull;
 pub mod server;
 
+pub use aiio_shard::replica::{SegmentEntry, ShardPullReport};
 pub use client::{http_fetch, http_fetch_retry, Fetched};
-pub use pull::{probe_pass, pull_pass, PullConfig, PullReport, ShardPullReport};
-pub use server::{repl_reply, ReplManifest, ReplSource, Reply, SegmentEntry};
+pub use pull::{probe_pass, pull_pass, PullConfig, PullReport};
+pub use server::{repl_reply, ReplManifest, ReplSource, Reply};
 
 /// Header carrying `1` when the requested offset was not a frame
 /// boundary and the tail restarted from zero.

@@ -3,6 +3,10 @@
 //! on disk when the pass ran (assuming the primary is quiesced; a live
 //! primary just leaves the follower a valid prefix to extend next pass).
 //!
+//! Each shard goes through the same engine local fleet replication uses
+//! ([`aiio_shard::replica::pull_shard`]); this module only supplies the
+//! HTTP [`ShardSource`] and the fleet-level order around it.
+//!
 //! Pass order is load-bearing. For a fleet the pass ships the manifest
 //! first, then every shard's segments and WAL, and the ordinal journal
 //! *last*: a pass that dies anywhere leaves journal rows that all have
@@ -13,22 +17,22 @@
 //! the segment that replaced it.
 //!
 //! Nothing is published unverified: WAL and journal bytes are CRC-walked
-//! ([`wal::scan_frames`], [`journal::scan_frames`]) and segment bodies
-//! checked against their CRC trailer before the staging-write +
-//! atomic-rename publish. The resume offset is always *derived* from the
+//! ([`aiio_store::wal::scan_frames`], [`journal::scan_frames`]) and
+//! segment bodies checked against their CRC trailer before the
+//! staging-write + atomic-rename publish. The resume offset is always *derived* from the
 //! local copy's intact length, never persisted, so a pull killed at any
 //! byte resumes exactly (see the crate docs).
 
 use std::io;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use aiio_shard::{journal, manifest, replica};
-use aiio_store::wal;
+use aiio_shard::replica::{self, SegmentEntry, ShardPullReport, ShardSource, WalChunk};
+use aiio_shard::{journal, manifest};
 
-use crate::client::http_fetch_retry;
-use crate::server::{ReplManifest, SegmentEntry};
-use crate::{H_FRAMES, H_RESET, H_ROWS};
+use crate::client::{http_fetch_retry, Fetched};
+use crate::server::ReplManifest;
+use crate::{H_FRAMES, H_OFFSET, H_RESET, H_ROWS};
 
 /// Deadlines and retry posture for one pull pass.
 #[derive(Debug, Clone)]
@@ -66,28 +70,6 @@ impl PullConfig {
     }
 }
 
-/// What one pass did for one shard.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ShardPullReport {
-    /// Shard id.
-    pub shard: u64,
-    /// Segments fetched and published.
-    pub segments_copied: u64,
-    /// Stale local segments removed.
-    pub segments_removed: u64,
-    /// Complete WAL frames published.
-    pub frames_shipped: u64,
-    /// Rows covered by those frames.
-    pub rows_shipped: u64,
-    /// True when the primary rewrote its WAL and the local copy restarted.
-    pub wal_reset: bool,
-    /// Frames the primary declared minus frames published (0 after a
-    /// clean pass; >0 after a torn stream).
-    pub lag_frames: u64,
-    /// Round-trip time of the WAL fetch, milliseconds.
-    pub rtt_ms: u64,
-}
-
 /// What one [`pull_pass`] (or [`probe_pass`]) did.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct PullReport {
@@ -110,10 +92,6 @@ impl PullReport {
     pub fn total_lag_frames(&self) -> u64 {
         self.shards.iter().map(|s| s.lag_frames).sum()
     }
-}
-
-fn into_io(e: aiio_store::StoreError) -> io::Error {
-    e.into_io()
 }
 
 /// Pull the primary at `base` into `root`, publishing verified bytes.
@@ -139,8 +117,9 @@ fn pass(root: &Path, base: &str, cfg: &PullConfig, probe: bool) -> io::Result<Pu
         journal_reset: false,
         probe,
     };
+    let source = |shard| HttpSource { base, shard, cfg };
     if m.layout == "single" {
-        let sp = pull_shard(root, base, 0, cfg, probe)?;
+        let sp = replica::pull_shard(root, &source(0), 0, probe)?;
         report.shards.push(sp);
         return Ok(report);
     }
@@ -157,10 +136,7 @@ fn pass(root: &Path, base: &str, cfg: &PullConfig, probe: bool) -> io::Result<Pu
     let epoch_dir = manifest::epoch_dir(root, m.epoch);
     for s in 0..shards {
         let dir = manifest::replica_dir(&epoch_dir, s);
-        if !probe {
-            std::fs::create_dir_all(&dir)?;
-        }
-        let sp = pull_shard(&dir, base, s, cfg, probe)?;
+        let sp = replica::pull_shard(&dir, &source(s), s, probe)?;
         report.shards.push(sp);
     }
     // Journal last, and only when every shard caught up fully: a torn
@@ -175,14 +151,13 @@ fn pass(root: &Path, base: &str, cfg: &PullConfig, probe: bool) -> io::Result<Pu
     Ok(report)
 }
 
+/// One GET under the pass's deadline and retry posture.
+fn get(base: &str, path: &str, cfg: &PullConfig) -> io::Result<Fetched> {
+    http_fetch_retry(base, path, cfg.deadline, cfg.retries, cfg.backoff)
+}
+
 fn fetch_manifest(base: &str, cfg: &PullConfig) -> io::Result<ReplManifest> {
-    let f = http_fetch_retry(
-        base,
-        "/repl/manifest",
-        cfg.deadline,
-        cfg.retries,
-        cfg.backoff,
-    )?;
+    let f = get(base, "/repl/manifest", cfg)?;
     let text = std::str::from_utf8(&f.body)
         .map_err(|_| io::Error::other("replnet: non-UTF8 manifest body"))?;
     serde_json::from_str(text).map_err(|e| io::Error::other(format!("replnet: manifest: {e}")))
@@ -191,6 +166,7 @@ fn fetch_manifest(base: &str, cfg: &PullConfig) -> io::Result<ReplManifest> {
 /// Mirror the primary's topology locally, sweeping dead epochs, when it
 /// differs from what is already published.
 fn adopt_manifest(root: &Path, m: &ReplManifest) -> io::Result<()> {
+    let into_io = aiio_store::StoreError::into_io;
     let shards = (m.shards as usize).max(1);
     let current = manifest::load(root).map_err(into_io)?;
     let stale = match &current {
@@ -207,222 +183,77 @@ fn adopt_manifest(root: &Path, m: &ReplManifest) -> io::Result<()> {
     Ok(())
 }
 
-/// Ship one shard: sealed segments first, then the WAL tail from the
-/// locally derived offset. In probe mode only the lag headers are read.
-fn pull_shard(
-    dir: &Path,
-    base: &str,
-    s: usize,
-    cfg: &PullConfig,
-    probe: bool,
-) -> io::Result<ShardPullReport> {
-    let mut report = ShardPullReport {
-        shard: s as u64,
-        segments_copied: 0,
-        segments_removed: 0,
-        frames_shipped: 0,
-        rows_shipped: 0,
-        wal_reset: false,
-        lag_frames: 0,
-        rtt_ms: 0,
-    };
-    if !probe {
-        let (copied, removed) = pull_segments(dir, base, s, cfg)?;
-        report.segments_copied = copied;
-        report.segments_removed = removed;
-    }
-    let wal_path = dir.join(wal::WAL_NAME);
-    let local = match std::fs::read(&wal_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let (local_frames, local_intact) = wal::scan_frames(&local);
-    let from = local_intact as u64;
-    // The ordinal the next appended frame must start at for the fetched
-    // tail to really continue our copy (None = empty copy, anything
-    // joins). The primary validates `from` structurally, but a byte
-    // offset of a *rewritten* WAL can land on a frame boundary of the
-    // new file by coincidence — the ordinal chain is the ground truth.
-    let expected_next = local_frames
-        .last()
-        .map(|fr| fr.base_ordinal + u64::from(fr.n_rows));
-    let probe_q = if probe { "&probe=1" } else { "" };
-    let t0 = Instant::now();
-    let f = http_fetch_retry(
-        base,
-        &format!("/repl/{s}/wal?from={from}{probe_q}"),
-        cfg.deadline,
-        cfg.retries,
-        cfg.backoff,
-    )?;
-    report.rtt_ms = t0.elapsed().as_millis() as u64;
-    let declared_frames = f.header_u64(H_FRAMES);
-    let declared_rows = f.header_u64(H_ROWS);
-    let reset = f.header(H_RESET) == Some("1");
-    report.wal_reset = reset;
-    if probe {
-        report.lag_frames = declared_frames;
-        report.rows_shipped = declared_rows;
-        return Ok(report);
-    }
-    // CRC-walk the received bytes; only the intact prefix publishes. A
-    // bit-flip or a torn stream shows up as lag, never as bad bytes.
-    let (frames, intact) = wal::scan_frames(&f.body);
-    let joins = match (frames.first(), expected_next) {
-        (Some(first), Some(exp)) => first.base_ordinal == exp,
-        _ => true,
-    };
-    if reset {
-        apply_reset(&wal_path, &f, &mut report)?;
-    } else if !joins {
-        // Our copy is from a stale WAL generation whose length happened
-        // to parse as a boundary of the rewritten file. Fetch the whole
-        // new WAL and treat it as the reset it really is.
-        let f0 = http_fetch_retry(
-            base,
-            &format!("/repl/{s}/wal?from=0"),
-            cfg.deadline,
-            cfg.retries,
-            cfg.backoff,
+/// One primary shard reached over HTTP: the replication engine's source
+/// for a follower on another host.
+struct HttpSource<'a> {
+    base: &'a str,
+    shard: usize,
+    cfg: &'a PullConfig,
+}
+
+impl ShardSource for HttpSource<'_> {
+    fn list_segments(&self) -> io::Result<Vec<SegmentEntry>> {
+        let f = get(
+            self.base,
+            &format!("/repl/{}/segments", self.shard),
+            self.cfg,
         )?;
-        report.wal_reset = true;
-        apply_reset(&wal_path, &f0, &mut report)?;
-    } else {
-        report.frames_shipped = frames.len() as u64;
-        report.rows_shipped = frames.iter().map(|fr| u64::from(fr.n_rows)).sum();
-        report.lag_frames = declared_frames.saturating_sub(report.frames_shipped);
-        if intact > 0 {
-            // Our derived offset is an intact-frame boundary; anything
-            // past it locally is a torn tail from an earlier killed pass.
-            replica::truncate_to(&wal_path, from).map_err(into_io)?;
-            append_bytes(&wal_path, &f.body[..intact])?;
-        }
+        let text = std::str::from_utf8(&f.body)
+            .map_err(|_| io::Error::other("replnet: non-UTF8 segment listing"))?;
+        serde_json::from_str(text)
+            .map_err(|e| io::Error::other(format!("replnet: segment listing: {e}")))
     }
-    replica::sync_replica(dir).map_err(into_io)?;
-    Ok(report)
-}
 
-/// Replace the local WAL with a rewritten primary's — but only from a
-/// complete stream. A torn reset body can cover fewer rows than the
-/// copy it replaces, and rows the journal already admits must never
-/// vanish; an incomplete stream keeps the local copy untouched and
-/// reports the whole new WAL as lag for the next pass to ship.
-fn apply_reset(
-    wal_path: &Path,
-    f: &crate::client::Fetched,
-    report: &mut ShardPullReport,
-) -> io::Result<()> {
-    let declared_frames = f.header_u64(crate::H_FRAMES);
-    let (frames, intact) = wal::scan_frames(&f.body);
-    if frames.len() as u64 == declared_frames && intact == f.body.len() {
-        report.frames_shipped = declared_frames;
-        report.rows_shipped = frames.iter().map(|fr| u64::from(fr.n_rows)).sum();
-        report.lag_frames = 0;
-        publish_bytes(wal_path, &f.body[..intact])?;
-    } else {
-        report.frames_shipped = 0;
-        report.rows_shipped = 0;
-        report.lag_frames = declared_frames.max(1);
-    }
-    Ok(())
-}
-
-/// Fetch segments the local copy is missing (or whose size disagrees),
-/// verify each against its CRC trailer, publish via staging + rename,
-/// then drop local segments the primary no longer lists.
-fn pull_segments(dir: &Path, base: &str, s: usize, cfg: &PullConfig) -> io::Result<(u64, u64)> {
-    let f = http_fetch_retry(
-        base,
-        &format!("/repl/{s}/segments"),
-        cfg.deadline,
-        cfg.retries,
-        cfg.backoff,
-    )?;
-    let text = std::str::from_utf8(&f.body)
-        .map_err(|_| io::Error::other("replnet: non-UTF8 segment listing"))?;
-    let remote: Vec<SegmentEntry> = serde_json::from_str(text)
-        .map_err(|e| io::Error::other(format!("replnet: segment listing: {e}")))?;
-    let mut copied = 0u64;
-    let mut removed = 0u64;
-    for entry in &remote {
-        let dst = dir.join(&entry.name);
-        let have = std::fs::metadata(&dst).map(|md| md.len()).ok();
-        if have == Some(entry.bytes) {
-            continue;
-        }
-        let body = fetch_segment(base, s, &entry.name, cfg)?;
-        publish_bytes(&dst, &body)?;
-        copied += 1;
-    }
-    for name in local_segments(dir)? {
-        if !remote.iter().any(|e| e.name == name) {
-            std::fs::remove_file(dir.join(&name))?;
-            removed += 1;
-        }
-    }
-    if copied + removed > 0 {
-        // Segment files under this shard dir were replaced or dropped;
-        // release any cached decodes of the previous generation (the
-        // fingerprint check already makes them unservable).
-        if let Some(cache) = aiio_store::SegmentCache::shared() {
-            cache.invalidate_dir(dir);
-        }
-    }
-    Ok((copied, removed))
-}
-
-/// Fetch one segment body, verifying the 4-byte LE CRC32 trailer.
-/// Transit corruption fails the check and is retried like any other
-/// transport error; it can never reach the publish step.
-fn fetch_segment(base: &str, s: usize, name: &str, cfg: &PullConfig) -> io::Result<Vec<u8>> {
-    let path = format!("/repl/{s}/segment/{name}");
-    let mut last: Option<io::Error> = None;
-    for attempt in 0..=cfg.retries {
-        if attempt > 0 {
-            std::thread::sleep(cfg.backoff * attempt);
-        }
-        let f = match http_fetch_retry(base, &path, cfg.deadline, 0, cfg.backoff) {
-            Ok(f) => f,
-            Err(e) => {
-                last = Some(e);
+    /// Fetch one segment body, verifying the 4-byte LE CRC32 trailer.
+    /// Transit corruption fails the check and is retried like any other
+    /// transport error; it can never reach the publish step.
+    fn fetch_segment(&self, name: &str) -> io::Result<Vec<u8>> {
+        let path = format!("/repl/{}/segment/{name}", self.shard);
+        let cfg = self.cfg;
+        let mut last: Option<io::Error> = None;
+        for attempt in 0..=cfg.retries {
+            if attempt > 0 {
+                std::thread::sleep(cfg.backoff * attempt);
+            }
+            let f = match http_fetch_retry(self.base, &path, cfg.deadline, 0, cfg.backoff) {
+                Ok(f) => f,
+                Err(e) => {
+                    last = Some(e);
+                    continue;
+                }
+            };
+            if f.body.len() < 4 {
+                last = Some(io::Error::other(format!(
+                    "replnet: segment {name}: truncated before CRC trailer"
+                )));
                 continue;
             }
-        };
-        if f.body.len() < 4 {
-            last = Some(io::Error::other(format!(
-                "replnet: segment {name}: truncated before CRC trailer"
-            )));
-            continue;
+            let (data, trailer) = f.body.split_at(f.body.len() - 4);
+            let want = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+            if aiio_store::crc32(data) != want {
+                last = Some(io::Error::other(format!(
+                    "replnet: segment {name}: CRC mismatch in transit"
+                )));
+                continue;
+            }
+            return Ok(data.to_vec());
         }
-        let (data, trailer) = f.body.split_at(f.body.len() - 4);
-        let want = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        if aiio_store::crc32(data) != want {
-            last = Some(io::Error::other(format!(
-                "replnet: segment {name}: CRC mismatch in transit"
-            )));
-            continue;
-        }
-        return Ok(data.to_vec());
+        Err(last
+            .unwrap_or_else(|| io::Error::other(format!("replnet: segment {name}: no attempts"))))
     }
-    Err(last.unwrap_or_else(|| io::Error::other(format!("replnet: segment {name}: no attempts"))))
-}
 
-/// Segment file names present locally.
-fn local_segments(dir: &Path) -> io::Result<Vec<String>> {
-    let mut out = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        if aiio_store::segment::parse_segment_id(&name).is_some() {
-            out.push(name);
-        }
+    fn fetch_wal(&self, from: u64, probe: bool) -> io::Result<WalChunk> {
+        let probe_q = if probe { "&probe=1" } else { "" };
+        let path = format!("/repl/{}/wal?from={from}{probe_q}", self.shard);
+        let f = get(self.base, &path, self.cfg)?;
+        Ok(WalChunk {
+            reset: f.header(H_RESET) == Some("1"),
+            frames: f.header_u64(H_FRAMES),
+            rows: f.header_u64(H_ROWS),
+            offset: f.header_u64(H_OFFSET),
+            body: f.body,
+        })
     }
-    Ok(out)
 }
 
 /// Ship the ordinal journal tail from the locally derived intact
@@ -434,19 +265,12 @@ fn pull_journal(path: &Path, base: &str, cfg: &PullConfig) -> io::Result<(u64, b
         Err(e) => return Err(e),
     };
     let (local_intact, local_rows) = journal::scan_frames(&local, 0);
-    let f = http_fetch_retry(
-        base,
-        &format!("/repl/journal?from={local_intact}"),
-        cfg.deadline,
-        cfg.retries,
-        cfg.backoff,
-    )?;
-    let reset = f.header(H_RESET) == Some("1");
-    if reset {
+    let f = get(base, &format!("/repl/journal?from={local_intact}"), cfg)?;
+    if f.header(H_RESET) == Some("1") {
         // The primary healed (rewrote) its journal; restart our copy
         // from the verified prefix of what it sent.
         let (intact, _) = journal::scan_frames(&f.body, 0);
-        publish_bytes(path, &f.body[..intact])?;
+        replica::publish_bytes(path, &f.body[..intact])?;
         return Ok((intact as u64, true));
     }
     // The tail continues our intact prefix: its first frame's base
@@ -455,36 +279,7 @@ fn pull_journal(path: &Path, base: &str, cfg: &PullConfig) -> io::Result<(u64, b
     if intact == 0 {
         return Ok((0, false));
     }
-    replica::truncate_to(path, local_intact as u64).map_err(into_io)?;
-    append_bytes(path, &f.body[..intact])?;
+    replica::truncate_to(path, local_intact as u64)?;
+    replica::append_bytes(path, &f.body[..intact])?;
     Ok((intact as u64, false))
-}
-
-/// Staging-write + atomic-rename publish (the same discipline as
-/// [`aiio_shard::replica::copy_segment`], from bytes instead of a file).
-fn publish_bytes(dst: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write;
-    let name = dst
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::other(format!("replnet: bad publish path {}", dst.display())))?;
-    let staging = dst.with_file_name(format!("{name}{}", replica::COPY_STAGING_SUFFIX));
-    let mut f = std::fs::File::create(&staging)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&staging, dst)?;
-    Ok(())
-}
-
-/// Append verified bytes and fsync.
-fn append_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    Ok(())
 }

@@ -5,14 +5,18 @@
 //!
 //! Everything here reads files statelessly — no store handle, no locks —
 //! so replies always reflect the bytes durably on disk, which is exactly
-//! what a follower wants to copy. The CRC walks inherited from
-//! [`aiio_store::wal::tail_frames`] and [`aiio_shard::journal::tail_bytes`]
-//! mean a reply never contains a torn or corrupt frame.
+//! what a follower wants to copy. Shard bytes are read through
+//! [`DirSource`], the same source local fleet replication pulls from, so
+//! a follower on another host copies exactly what a local follower would.
+//! The CRC walks inherited from [`aiio_store::wal::tail_frames`] and
+//! [`aiio_shard::journal::tail_bytes`] mean a reply never contains a torn
+//! or corrupt frame.
 
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 use aiio_shard::journal;
-use aiio_store::wal;
+use aiio_shard::replica::{DirSource, ShardSource};
 
 use crate::{H_FRAMES, H_OFFSET, H_RESET, H_ROWS};
 
@@ -46,15 +50,6 @@ pub struct ReplManifest {
     pub shards: u64,
     /// Live epoch (0 for single).
     pub epoch: u64,
-}
-
-/// One row of the `GET /repl/{s}/segments` listing.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct SegmentEntry {
-    /// Segment file name (validated shape, `seg-*.aiio`).
-    pub name: String,
-    /// File size in bytes.
-    pub bytes: u64,
 }
 
 /// A fully formed HTTP reply, transport-agnostic: the serve layer adds
@@ -170,27 +165,21 @@ fn wal_reply(dir: &Path, query: &str) -> Reply {
         return Reply::error(400, "bad from= offset");
     };
     let probe = query_get(query, "probe") == Some("1");
-    let tail = match wal::tail_frames(&dir.join(wal::WAL_NAME), from) {
+    let tail = match DirSource(dir).fetch_wal(from, probe) {
         Ok(t) => t,
         Err(e) => return Reply::error(500, &format!("wal tail: {e}")),
     };
-    let rows: u64 = tail.frames.iter().map(|f| u64::from(f.n_rows)).sum();
     let headers = vec![
         (H_RESET.to_string(), u8::from(tail.reset).to_string()),
-        (H_FRAMES.to_string(), tail.frames.len().to_string()),
-        (H_ROWS.to_string(), rows.to_string()),
-        (H_OFFSET.to_string(), tail.new_offset.to_string()),
+        (H_FRAMES.to_string(), tail.frames.to_string()),
+        (H_ROWS.to_string(), tail.rows.to_string()),
+        (H_OFFSET.to_string(), tail.offset.to_string()),
     ];
-    let body = if probe {
-        Vec::new()
-    } else {
-        tail.frames.into_iter().flat_map(|f| f.bytes).collect()
-    };
-    Reply::bytes(body, headers)
+    Reply::bytes(tail.body, headers)
 }
 
 fn segments_reply(dir: &Path) -> Reply {
-    match list_segments(dir) {
+    match DirSource(dir).list_segments() {
         Ok(list) => match serde_json::to_string(&list) {
             Ok(body) => Reply::json(200, body),
             Err(e) => Reply::error(500, &format!("segment list encode: {e}")),
@@ -199,34 +188,8 @@ fn segments_reply(dir: &Path) -> Reply {
     }
 }
 
-/// Sealed segments in `dir`, sorted by id for deterministic listings.
-fn list_segments(dir: &Path) -> std::io::Result<Vec<SegmentEntry>> {
-    let mut out = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if aiio_store::segment::parse_segment_id(&name).is_some() {
-            let bytes = entry.metadata()?.len();
-            out.push(SegmentEntry { name, bytes });
-        }
-    }
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(out)
-}
-
 fn segment_reply(dir: &Path, name: &str) -> Reply {
-    // The id parse doubles as path validation: anything with
-    // separators or an unexpected shape is rejected before touching
-    // the filesystem.
-    if aiio_store::segment::parse_segment_id(name).is_none() {
-        return Reply::error(404, "not a segment name");
-    }
-    match std::fs::read(dir.join(name)) {
+    match DirSource(dir).fetch_segment(name) {
         Ok(mut body) => {
             // 4-byte LE CRC32 trailer over the file bytes: segments are
             // immutable once sealed, so a single whole-file checksum is
@@ -235,7 +198,8 @@ fn segment_reply(dir: &Path, name: &str) -> Reply {
             body.extend_from_slice(&crc.to_le_bytes());
             Reply::bytes(body, Vec::new())
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Reply::error(404, "no such segment"),
+        Err(e) if e.kind() == ErrorKind::InvalidInput => Reply::error(404, "not a segment name"),
+        Err(e) if e.kind() == ErrorKind::NotFound => Reply::error(404, "no such segment"),
         Err(e) => Reply::error(500, &format!("segment read: {e}")),
     }
 }

@@ -582,3 +582,56 @@ fn replication_gauges_track_lag_and_follower_refuses_ingest() {
     follower.stop();
     primary.stop();
 }
+
+/// The ordinal-join check over the wire: a primary seal rewrites its WAL
+/// and four new 2-row frames put a frame boundary exactly at the
+/// follower's old WAL length, so the primary accepts the stale offset
+/// without flagging a reset. The tail's first ordinal does not continue
+/// the follower's copy; the pass must restart the WAL instead of
+/// appending past rows 6..12 it never received.
+#[test]
+fn stale_offset_on_a_rewritten_wal_frame_boundary_resets_instead_of_skipping() {
+    let prim = tmpdir("aiio_repl", "join_primary").unwrap();
+    let foll = tmpdir("aiio_repl", "join_follower").unwrap();
+    let cfg = StoreConfig {
+        rows_per_segment: 1024,
+        wal_block_rows: 2,
+        verify_on_open: true,
+    };
+    // Equal-size rows, so equal row counts make equal frame lengths.
+    let jobs: Vec<JobLog> = (0..14u64).map(|i| JobLog::new(i, "app", 2020)).collect();
+
+    // Attach the serve to the empty directory first; the test's handle
+    // opens last and is the single writer from then on.
+    let server = Running::start(ServeConfig {
+        store_dir: Some(prim.clone()),
+        ..ServeConfig::default()
+    });
+    let base = format!("http://{}", server.addr);
+    let mut store = Store::open_with(&prim, cfg).unwrap();
+    for pair in jobs[..6].chunks(2) {
+        store.append_batch(pair).unwrap();
+    }
+    store.sync().unwrap();
+    pull_pass(&foll, &base, &PullConfig::default()).unwrap();
+
+    store.seal().unwrap();
+    for pair in jobs[6..].chunks(2) {
+        store.append_batch(pair).unwrap();
+    }
+    store.sync().unwrap();
+    let report = pull_pass(&foll, &base, &PullConfig::default()).unwrap();
+
+    let ids: Vec<u64> = Store::open_with(&foll, cfg)
+        .unwrap()
+        .read_all()
+        .unwrap()
+        .jobs()
+        .iter()
+        .map(|j| j.job_id)
+        .collect();
+    assert_eq!(ids, (0..14).collect::<Vec<u64>>());
+    assert!(report.shards[0].wal_reset, "the stale offset must reset");
+    assert_eq!(report.total_lag_frames(), 0);
+    server.stop();
+}

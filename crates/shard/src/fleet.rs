@@ -43,7 +43,7 @@ use serde::Serialize;
 
 use crate::journal::{self, JournalWriter, JOURNAL_NAME};
 use crate::manifest::{self, Manifest};
-use crate::replica;
+use crate::replica::{self, ShardSource as _};
 
 /// Suffix of the staging directory an orphan repair rebuilds through.
 pub const REPAIR_SUFFIX: &str = ".repair";
@@ -219,23 +219,8 @@ fn repair_path(dir: &Path) -> PathBuf {
 /// would shadow its rows: fleet scans would never see them, and
 /// `store-stats` would start rejecting the directory as sharded.
 fn plain_store_layout(dir: &Path) -> Result<bool> {
-    if dir.join(aiio_store::wal::WAL_NAME).exists() {
-        return Ok(true);
-    }
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(StoreError::Io(e)),
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        if let Some(name) = name.to_str() {
-            if segment::parse_segment_id(name).is_some() {
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
+    Ok(dir.join(aiio_store::wal::WAL_NAME).exists()
+        || !replica::DirSource(dir).list_segments()?.is_empty())
 }
 
 /// Finish a repair interrupted by a crash: if the real directory is gone
@@ -552,15 +537,17 @@ impl ShardedStore {
         Ok(total)
     }
 
-    /// Bring every shard's follower up to date (segment mirror + WAL
-    /// ship), re-seeding a lost primary when the shard is failed over.
+    /// Bring every shard's follower up to date through the replication
+    /// engine ([`replica::pull_shard`] reading the serving directory via
+    /// [`replica::DirSource`]), re-seeding a lost primary when the shard
+    /// is failed over.
     pub fn replicate(&mut self) -> Result<ReplicationReport> {
         let mut report = ReplicationReport::default();
         for s in 0..self.states.len() {
             let leader = self.states[s].serving_dir().to_path_buf();
             let follower = self.states[s].follower_dir().to_path_buf();
-            let ship = replica::sync_shard(&leader, &follower)?;
-            if ship.segments_copied + ship.segments_removed > 0 {
+            let pass = replica::pull_shard(&follower, &replica::DirSource(&leader), s, false)?;
+            if pass.segments_copied + pass.segments_removed > 0 {
                 // Follower segment files changed under any cached decode
                 // of a previous failover's serving stint.
                 if let Some(cache) = self.states[s].store.cache() {
@@ -568,10 +555,10 @@ impl ShardedStore {
                 }
             }
             report.shards_synced += 1;
-            report.segments_copied += ship.segments_copied;
-            report.frames_shipped += ship.frames_shipped;
-            report.rows_shipped += ship.rows_shipped;
-            report.wal_resets += usize::from(ship.wal_reset);
+            report.segments_copied += pass.segments_copied as usize;
+            report.frames_shipped += pass.frames_shipped as usize;
+            report.rows_shipped += pass.rows_shipped as usize;
+            report.wal_resets += usize::from(pass.wal_reset);
             self.replica_rows[s] = replica::replica_rows(&follower)?;
         }
         Ok(report)

@@ -16,11 +16,13 @@
 //!    and any `aiio_par` thread count. `ShardedStore` implements
 //!    `darshan::StoreBackend`; the training stack does not know it is
 //!    sharded.
-//! 2. **A lost shard is survivable.** Each shard ships its WAL frames
-//!    and mirrors its sealed segments to a follower directory
-//!    ([`replica`]); when a primary is lost or quarantined, the fleet
-//!    opens the follower instead ([`fleet::ShardRole::Replica`]) and
-//!    re-seeds the primary on the next replication pass.
+//! 2. **A lost shard is survivable.** Each shard's follower directory
+//!    pulls its sealed segments and WAL frames through the one
+//!    replication engine ([`replica`]), the same pass a follower on
+//!    another host runs over HTTP; when a primary is lost or
+//!    quarantined, the fleet opens the follower instead
+//!    ([`fleet::ShardRole::Replica`]) and re-seeds the primary on the
+//!    next replication pass.
 //! 3. **Width is a parameter, not a commitment.** [`rebalance`] streams
 //!    the fleet into a staged next epoch at a new width and publishes it
 //!    with one atomic manifest swing ([`manifest`]); interrupted runs
@@ -54,5 +56,5 @@ pub use fleet::{
 pub use hash::{hash_job_id, hash_span, shard_of, MAX_SHARDS};
 pub use manifest::Manifest;
 pub use rebalance::{rebalance, rebalance_with, RebalanceReport};
-pub use replica::{sync_shard, ShipReport};
+pub use replica::{pull_shard, DirSource, ShardPullReport, ShardSource};
 pub use router::{route_batch, RoutedBatch};

@@ -215,3 +215,45 @@ fn losing_a_replica_directory_is_harmless() {
         .all(|p| p.replication_lag == 0));
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A leader WAL rewrite whose new file happens to put a frame boundary
+/// at the follower's old length: the byte offset alone looks valid, so
+/// only the ordinal-join check notices the follower's copy is from the
+/// previous WAL generation. Without it the follower silently skipped
+/// rows 6..12 and a failover served 8 of 14 rows.
+#[test]
+fn leader_wal_rewrite_landing_on_a_frame_boundary_loses_no_rows() {
+    let cfg = StoreConfig {
+        rows_per_segment: 1024,
+        wal_block_rows: 2,
+        verify_on_open: true,
+    };
+    let logs = jobs(14, 11);
+    let root = tmpdir("rewrite_boundary");
+    let mut fleet = ShardedStore::open_with(&root, 1, cfg).unwrap();
+    // Three 2-row frames, shipped.
+    for pair in logs[..6].chunks(2) {
+        fleet.append_batch(pair).unwrap();
+    }
+    fleet.sync().unwrap();
+    fleet.replicate().unwrap();
+    // The seal rewrites the leader WAL; four more 2-row frames put a
+    // frame boundary exactly at the follower's old WAL length.
+    fleet.seal().unwrap();
+    for pair in logs[6..].chunks(2) {
+        fleet.append_batch(pair).unwrap();
+    }
+    fleet.sync().unwrap();
+    let report = fleet.replicate().unwrap();
+    drop(fleet);
+
+    // Lose the primary: every row must come back from the follower.
+    let epoch = manifest::epoch_dir(&root, 0);
+    kill_path(&manifest::shard_dir(&epoch, 0)).unwrap();
+    let fleet = ShardedStore::open_with(&root, 1, cfg).unwrap();
+    assert_eq!(fleet.roles()[0], ShardRole::Replica);
+    assert_eq!(scan_ids(&fleet), (0..14).collect::<Vec<u64>>());
+    assert_eq!(fleet.recovery_report().journal_entries_dropped, 0);
+    assert_eq!(report.wal_resets, 1, "the rewrite must reset the follower");
+    let _ = std::fs::remove_dir_all(&root);
+}

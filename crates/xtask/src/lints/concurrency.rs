@@ -84,29 +84,32 @@ const BLOCKING: &[&str] = &[
     ".wait_timeout(",
     "aiio_par::map(",
     "par_map(",
-    // Shard-fleet replication and rebalance primitives: WAL-tail reads,
-    // follower segment copies and whole-shard ships are all file I/O
-    // under the hood, even when the call site names no `fs::` path.
+    // Replication engine (`aiio_shard::replica`) and rebalance
+    // primitives: WAL-tail reads, source fetches, staged publishes and
+    // whole-shard passes are all file I/O under the hood — or, through
+    // the HTTP source, socket round-trips — even when the call site
+    // names no `fs::` path.
     "tail_frames(",
     "intact_len(",
-    "copy_segment(",
-    "sync_replica(",
-    "sync_shard(",
+    "pull_shard(",
+    "pull_segments(",
+    "apply_reset(",
+    "list_segments(",
+    "fetch_segment(",
+    "fetch_wal(",
+    "publish_bytes(",
+    "append_bytes(",
+    "truncate_to(",
+    "replica_rows(",
     // Network replication transport: every one of these is a socket
-    // round-trip (with retries and deadlines) or a staged file publish.
-    // A guard held across a pull pass serializes the whole fleet behind
-    // one slow peer.
+    // round-trip (with retries and deadlines). A guard held across a
+    // pull pass serializes the whole fleet behind one slow peer.
     "http_fetch(",
     "http_fetch_retry(",
     "pull_pass(",
     "probe_pass(",
-    "pull_shard(",
-    "pull_segments(",
     "pull_journal(",
-    "fetch_segment(",
     "fetch_manifest(",
-    "publish_bytes(",
-    "append_bytes(",
     // Segment read path: decoding a sealed segment (directly or through
     // the block cache's fill path) reads and checksums megabytes of file
     // bytes. The cache is deliberately probe-unlock-fill-insert so no
@@ -1530,19 +1533,22 @@ mod tests {
 
     #[test]
     fn replication_primitives_count_as_blocking() {
-        // The shard fleet's WAL-tail reads and follower segment copies
-        // are file I/O; holding a guard across them must flag R002.
-        let w = ws(&[(
-            "crates/a/src/lib.rs",
-            "impl S { fn f(&self) { let g = self.state.lock(); copy_segment(&src, &dst); } }\n",
-        )]);
-        let sites = analyze(&w);
-        assert!(
-            sites
-                .iter()
-                .any(|s| s.rule == "AIIO-R002" && s.message.contains("a::S::state")),
-            "guard held across copy_segment must flag: {sites:#?}"
-        );
+        // A replication engine pass and its staged publish are file I/O;
+        // holding a guard across either must flag R002.
+        for op in [
+            "pull_shard(&dir, &DirSource(&leader), 0, false)",
+            "publish_bytes(&dst, &bytes)",
+        ] {
+            let src = format!("impl S {{ fn f(&self) {{ let g = self.state.lock(); {op}; }} }}\n");
+            let w = ws(&[("crates/a/src/lib.rs", src.as_str())]);
+            let sites = analyze(&w);
+            assert!(
+                sites
+                    .iter()
+                    .any(|s| s.rule == "AIIO-R002" && s.message.contains("a::S::state")),
+                "guard held across {op} must flag: {sites:#?}"
+            );
+        }
     }
 
     #[test]
