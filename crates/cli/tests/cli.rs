@@ -511,6 +511,18 @@ fn serve_and_client_roundtrip_over_loopback() {
     assert!(ok, "{err}");
     assert!(body.contains("\"status\":\"ok\""));
 
+    // `--addr` also takes the URL form `--replicate-from` uses.
+    let out = aiio()
+        .args(["client", "--addr", &format!("http://{addr}"), "health"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"status\":\"ok\""));
+
     let (ok, body, err) = client(&["diagnose", log.to_str().unwrap()]);
     assert!(ok, "{err}");
     assert!(body.contains("\"bottlenecks\""));

@@ -1,8 +1,15 @@
-//! Network WAL-shipping replication for the aiio job-log store.
+//! The HTTP/1.1 wire module, and network WAL-shipping replication for the
+//! aiio job-log store over it.
 //!
 //! A primary exposes its store under `/repl/*` (wired into `aiio-serve`);
 //! a follower on another host runs [`pull_pass`] against that URL and
 //! ends up with a byte-identical copy it can serve failover reads from.
+//!
+//! [`http`] is the one implementation of the wire format in the
+//! workspace: request parsing and response writing for the server,
+//! [`http::roundtrip`] for every client (the CLI, the benches, the
+//! follower). It lives here because this is the lowest crate both the
+//! server and the follower link; `aiio-serve` re-exports it.
 //!
 //! # One engine, two sources
 //!
@@ -45,14 +52,13 @@
 //! transit fails its frame CRC and is never written, a torn stream simply
 //! ends the pass early with the verified prefix published.
 
-pub mod client;
+pub mod http;
 pub mod pull;
 pub mod server;
 
 pub use aiio_shard::replica::{SegmentEntry, ShardPullReport};
-pub use client::{http_fetch, http_fetch_retry, Fetched};
 pub use pull::{probe_pass, pull_pass, PullConfig, PullReport};
-pub use server::{repl_reply, ReplManifest, ReplSource, Reply};
+pub use server::{repl_reply, ReplManifest, ReplSource};
 
 /// Header carrying `1` when the requested offset was not a frame
 /// boundary and the tail restarted from zero.

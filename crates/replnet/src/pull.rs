@@ -30,7 +30,7 @@ use std::time::Duration;
 use aiio_shard::replica::{self, SegmentEntry, ShardPullReport, ShardSource, WalChunk};
 use aiio_shard::{journal, manifest};
 
-use crate::client::{http_fetch_retry, Fetched};
+use crate::http::{self, Response};
 use crate::server::ReplManifest;
 use crate::{H_FRAMES, H_OFFSET, H_RESET, H_ROWS};
 
@@ -151,9 +151,46 @@ fn pass(root: &Path, base: &str, cfg: &PullConfig, probe: bool) -> io::Result<Pu
     Ok(report)
 }
 
-/// One GET under the pass's deadline and retry posture.
-fn get(base: &str, path: &str, cfg: &PullConfig) -> io::Result<Fetched> {
-    http_fetch_retry(base, path, cfg.deadline, cfg.retries, cfg.backoff)
+/// One GET under the pass's deadline and retry posture: a transport
+/// error, a non-200 status or a response `verify` rejects is retried up
+/// to `cfg.retries` extra times, sleeping `backoff * attempt` between
+/// attempts. A 200 with a torn body passes unless `verify` objects — the
+/// engine's CRC walk truncates WAL and journal tails itself.
+fn get_verified(
+    base: &str,
+    path: &str,
+    cfg: &PullConfig,
+    verify: impl Fn(&Response) -> io::Result<()>,
+) -> io::Result<Response> {
+    let mut attempt = 0;
+    loop {
+        let outcome = http::roundtrip(base, "GET", path, &[], None, cfg.deadline).and_then(|r| {
+            if r.status != 200 {
+                return Err(io::Error::other(format!(
+                    "replnet: GET {path} -> HTTP {}",
+                    r.status
+                )));
+            }
+            verify(&r).map(|()| r)
+        });
+        match outcome {
+            Ok(r) => return Ok(r),
+            Err(e) if attempt >= cfg.retries => return Err(e),
+            Err(_) => {}
+        }
+        attempt += 1;
+        std::thread::sleep(cfg.backoff * attempt);
+    }
+}
+
+/// [`get_verified`] for bodies the caller checks itself.
+fn get(base: &str, path: &str, cfg: &PullConfig) -> io::Result<Response> {
+    get_verified(base, path, cfg, |_| Ok(()))
+}
+
+/// The value of header `name` as a u64, 0 when absent or malformed.
+fn header_u64(r: &Response, name: &str) -> u64 {
+    r.header(name).and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
 fn fetch_manifest(base: &str, cfg: &PullConfig) -> io::Result<ReplManifest> {
@@ -209,37 +246,24 @@ impl ShardSource for HttpSource<'_> {
     /// transport error; it can never reach the publish step.
     fn fetch_segment(&self, name: &str) -> io::Result<Vec<u8>> {
         let path = format!("/repl/{}/segment/{name}", self.shard);
-        let cfg = self.cfg;
-        let mut last: Option<io::Error> = None;
-        for attempt in 0..=cfg.retries {
-            if attempt > 0 {
-                std::thread::sleep(cfg.backoff * attempt);
-            }
-            let f = match http_fetch_retry(self.base, &path, cfg.deadline, 0, cfg.backoff) {
-                Ok(f) => f,
-                Err(e) => {
-                    last = Some(e);
-                    continue;
+        let mut body = get_verified(self.base, &path, self.cfg, |r| {
+            match r.body.split_last_chunk::<4>() {
+                Some((data, trailer))
+                    if aiio_store::crc32(data) == u32::from_le_bytes(*trailer) =>
+                {
+                    Ok(())
                 }
-            };
-            if f.body.len() < 4 {
-                last = Some(io::Error::other(format!(
-                    "replnet: segment {name}: truncated before CRC trailer"
-                )));
-                continue;
-            }
-            let (data, trailer) = f.body.split_at(f.body.len() - 4);
-            let want = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-            if aiio_store::crc32(data) != want {
-                last = Some(io::Error::other(format!(
+                Some(_) => Err(io::Error::other(format!(
                     "replnet: segment {name}: CRC mismatch in transit"
-                )));
-                continue;
+                ))),
+                None => Err(io::Error::other(format!(
+                    "replnet: segment {name}: truncated before CRC trailer"
+                ))),
             }
-            return Ok(data.to_vec());
-        }
-        Err(last
-            .unwrap_or_else(|| io::Error::other(format!("replnet: segment {name}: no attempts"))))
+        })?
+        .body;
+        body.truncate(body.len().saturating_sub(4));
+        Ok(body)
     }
 
     fn fetch_wal(&self, from: u64, probe: bool) -> io::Result<WalChunk> {
@@ -248,9 +272,9 @@ impl ShardSource for HttpSource<'_> {
         let f = get(self.base, &path, self.cfg)?;
         Ok(WalChunk {
             reset: f.header(H_RESET) == Some("1"),
-            frames: f.header_u64(H_FRAMES),
-            rows: f.header_u64(H_ROWS),
-            offset: f.header_u64(H_OFFSET),
+            frames: header_u64(&f, H_FRAMES),
+            rows: header_u64(&f, H_ROWS),
+            offset: header_u64(&f, H_OFFSET),
             body: f.body,
         })
     }

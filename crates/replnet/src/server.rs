@@ -1,7 +1,7 @@
 //! Primary-side reply builders for the `/repl/*` endpoints. The serve
 //! layer owns the sockets and routing prefix; this module turns a
 //! path-with-query (everything after `/repl/`) plus a snapshot of the
-//! store's on-disk layout into a fully formed [`Reply`].
+//! store's on-disk layout into a fully formed [`Response`].
 //!
 //! Everything here reads files statelessly — no store handle, no locks —
 //! so replies always reflect the bytes durably on disk, which is exactly
@@ -18,6 +18,7 @@ use std::path::{Path, PathBuf};
 use aiio_shard::journal;
 use aiio_shard::replica::{DirSource, ShardSource};
 
+use crate::http::{self, Response};
 use crate::{H_FRAMES, H_OFFSET, H_RESET, H_ROWS};
 
 /// Where the primary's bytes live, snapshotted from the attached store.
@@ -52,81 +53,62 @@ pub struct ReplManifest {
     pub epoch: u64,
 }
 
-/// A fully formed HTTP reply, transport-agnostic: the serve layer adds
-/// the status line, `Content-Length` and `Connection: close`.
-#[derive(Debug)]
-pub struct Reply {
-    /// HTTP status code.
-    pub status: u16,
-    /// `Content-Type` value.
-    pub content_type: &'static str,
-    /// Extra headers (`X-Repl-*`).
-    pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
+/// A 200 carrying raw frame or segment bytes.
+fn octets(body: Vec<u8>) -> Response {
+    Response::bytes(200, "application/octet-stream", body)
 }
 
-impl Reply {
-    fn json(status: u16, body: String) -> Reply {
-        Reply {
-            status,
-            content_type: "application/json",
-            headers: Vec::new(),
-            body: body.into_bytes(),
+/// The query of a WAL or journal tail request: `from=N` (default 0) and
+/// `probe=1`; other keys are ignored.
+struct TailQuery {
+    from: u64,
+    probe: bool,
+}
+
+fn tail_query(query: &str) -> Result<TailQuery, Response> {
+    let mut q = TailQuery {
+        from: 0,
+        probe: false,
+    };
+    for (key, value) in http::parse_query(query) {
+        match key.as_str() {
+            "from" => {
+                q.from = value
+                    .parse()
+                    .map_err(|_| Response::error(400, "bad from= offset"))?;
+            }
+            "probe" => q.probe = value == "1",
+            _ => {}
         }
     }
-
-    fn error(status: u16, detail: &str) -> Reply {
-        Reply::json(status, format!("{{\"error\":{:?}}}", detail))
-    }
-
-    fn bytes(body: Vec<u8>, headers: Vec<(String, String)>) -> Reply {
-        Reply {
-            status: 200,
-            content_type: "application/octet-stream",
-            headers,
-            body,
-        }
-    }
+    Ok(q)
 }
 
-/// Parse `k=v&k=v` query pairs; absent keys read as `None`.
-fn query_get<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query
-        .split('&')
-        .filter_map(|kv| kv.split_once('='))
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v)
-}
-
-/// Build the reply for `target`, the request path with `/repl/`
+/// Build the response for `target`, the request path with `/repl/`
 /// stripped but the query string intact (e.g. `0/wal?from=128`).
 /// Unknown paths, out-of-range shards and malformed queries are 4xx;
 /// I/O failures are 500. Never panics.
-pub fn repl_reply(src: &ReplSource, target: &str) -> Reply {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
+pub fn repl_reply(src: &ReplSource, target: &str) -> Response {
+    let (path, query) = http::split_query(target);
     let mut parts = path.split('/');
     match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some("manifest"), None, ..) => manifest_reply(src),
         (Some("journal"), None, ..) => journal_reply(src, query),
         (Some(shard), Some(tail), seg_name, None) => {
             let Ok(s) = shard.parse::<usize>() else {
-                return Reply::error(404, "unknown replication path");
+                return Response::error(404, "unknown replication path");
             };
             let Some(dir) = shard_dir(src, s) else {
-                return Reply::error(404, "shard out of range");
+                return Response::error(404, "shard out of range");
             };
             match (tail, seg_name) {
                 ("wal", None) => wal_reply(dir, query),
                 ("segments", None) => segments_reply(dir),
                 ("segment", Some(name)) => segment_reply(dir, name),
-                _ => Reply::error(404, "unknown replication path"),
+                _ => Response::error(404, "unknown replication path"),
             }
         }
-        _ => Reply::error(404, "unknown replication path"),
+        _ => Response::error(404, "unknown replication path"),
     }
 }
 
@@ -137,7 +119,7 @@ fn shard_dir(src: &ReplSource, s: usize) -> Option<&Path> {
     }
 }
 
-fn manifest_reply(src: &ReplSource) -> Reply {
+fn manifest_reply(src: &ReplSource) -> Response {
     let m = match src {
         ReplSource::Single { .. } => ReplManifest {
             layout: "single".to_string(),
@@ -155,40 +137,37 @@ fn manifest_reply(src: &ReplSource) -> Reply {
         },
     };
     match serde_json::to_string(&m) {
-        Ok(body) => Reply::json(200, body),
-        Err(e) => Reply::error(500, &format!("manifest encode: {e}")),
+        Ok(body) => Response::json(200, body),
+        Err(e) => Response::error(500, &format!("manifest encode: {e}")),
     }
 }
 
-fn wal_reply(dir: &Path, query: &str) -> Reply {
-    let Some(from) = query_get(query, "from").map_or(Some(0), |v| v.parse().ok()) else {
-        return Reply::error(400, "bad from= offset");
+fn wal_reply(dir: &Path, query: &str) -> Response {
+    let q = match tail_query(query) {
+        Ok(q) => q,
+        Err(bad) => return bad,
     };
-    let probe = query_get(query, "probe") == Some("1");
-    let tail = match DirSource(dir).fetch_wal(from, probe) {
-        Ok(t) => t,
-        Err(e) => return Reply::error(500, &format!("wal tail: {e}")),
-    };
-    let headers = vec![
-        (H_RESET.to_string(), u8::from(tail.reset).to_string()),
-        (H_FRAMES.to_string(), tail.frames.to_string()),
-        (H_ROWS.to_string(), tail.rows.to_string()),
-        (H_OFFSET.to_string(), tail.offset.to_string()),
-    ];
-    Reply::bytes(tail.body, headers)
+    match DirSource(dir).fetch_wal(q.from, q.probe) {
+        Ok(tail) => octets(tail.body)
+            .with_header(H_RESET, u8::from(tail.reset).to_string())
+            .with_header(H_FRAMES, tail.frames.to_string())
+            .with_header(H_ROWS, tail.rows.to_string())
+            .with_header(H_OFFSET, tail.offset.to_string()),
+        Err(e) => Response::error(500, &format!("wal tail: {e}")),
+    }
 }
 
-fn segments_reply(dir: &Path) -> Reply {
+fn segments_reply(dir: &Path) -> Response {
     match DirSource(dir).list_segments() {
         Ok(list) => match serde_json::to_string(&list) {
-            Ok(body) => Reply::json(200, body),
-            Err(e) => Reply::error(500, &format!("segment list encode: {e}")),
+            Ok(body) => Response::json(200, body),
+            Err(e) => Response::error(500, &format!("segment list encode: {e}")),
         },
-        Err(e) => Reply::error(500, &format!("segment list: {e}")),
+        Err(e) => Response::error(500, &format!("segment list: {e}")),
     }
 }
 
-fn segment_reply(dir: &Path, name: &str) -> Reply {
+fn segment_reply(dir: &Path, name: &str) -> Response {
     match DirSource(dir).fetch_segment(name) {
         Ok(mut body) => {
             // 4-byte LE CRC32 trailer over the file bytes: segments are
@@ -196,30 +175,28 @@ fn segment_reply(dir: &Path, name: &str) -> Reply {
             // enough for the follower to verify the copy.
             let crc = aiio_store::crc32(&body);
             body.extend_from_slice(&crc.to_le_bytes());
-            Reply::bytes(body, Vec::new())
+            octets(body)
         }
-        Err(e) if e.kind() == ErrorKind::InvalidInput => Reply::error(404, "not a segment name"),
-        Err(e) if e.kind() == ErrorKind::NotFound => Reply::error(404, "no such segment"),
-        Err(e) => Reply::error(500, &format!("segment read: {e}")),
+        Err(e) if e.kind() == ErrorKind::InvalidInput => Response::error(404, "not a segment name"),
+        Err(e) if e.kind() == ErrorKind::NotFound => Response::error(404, "no such segment"),
+        Err(e) => Response::error(500, &format!("segment read: {e}")),
     }
 }
 
-fn journal_reply(src: &ReplSource, query: &str) -> Reply {
+fn journal_reply(src: &ReplSource, query: &str) -> Response {
     let ReplSource::Fleet { journal, .. } = src else {
-        return Reply::error(404, "single-store layout has no journal");
+        return Response::error(404, "single-store layout has no journal");
     };
-    let Some(from) = query_get(query, "from").map_or(Some(0), |v| v.parse().ok()) else {
-        return Reply::error(400, "bad from= offset");
+    let q = match tail_query(query) {
+        Ok(q) => q,
+        Err(bad) => return bad,
     };
-    let tail = match journal::tail_bytes(journal, from) {
-        Ok(t) => t,
-        Err(e) => return Reply::error(500, &format!("journal tail: {e}")),
-    };
-    let headers = vec![
-        (H_RESET.to_string(), u8::from(tail.reset).to_string()),
-        (H_OFFSET.to_string(), tail.new_offset.to_string()),
-    ];
-    Reply::bytes(tail.bytes, headers)
+    match journal::tail_bytes(journal, q.from) {
+        Ok(tail) => octets(tail.bytes)
+            .with_header(H_RESET, u8::from(tail.reset).to_string())
+            .with_header(H_OFFSET, tail.new_offset.to_string()),
+        Err(e) => Response::error(500, &format!("journal tail: {e}")),
+    }
 }
 
 #[cfg(test)]

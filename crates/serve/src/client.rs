@@ -1,9 +1,13 @@
 //! A tiny blocking HTTP/1.1 client for the AIIO server — used by the CLI
 //! `client` subcommand, the loopback tests and the CI smoke script, so the
 //! whole request/response path is exercised without external tooling.
+//!
+//! This is the String convenience wrapper over the one binary-safe
+//! client, [`http::roundtrip`]: it adds the JSON content type, insists
+//! on the whole declared body and decodes it as UTF-8.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use crate::http;
+use std::io::{Error, ErrorKind};
 use std::time::Duration;
 
 /// A decoded response: status code plus body text.
@@ -18,15 +22,15 @@ pub struct ClientResponse {
 impl ClientResponse {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 }
 
-/// Issue one request and read the full response. `body` is sent with
+/// Issue one request and read the full response. `addr` is `host:port`
+/// or `http://host:port`; `body` is sent with
 /// `Content-Type: application/json` when present.
 pub fn request(
     addr: &str,
@@ -38,7 +42,8 @@ pub fn request(
     request_with_headers(addr, method, path, body, timeout, &[])
 }
 
-/// [`request`] with extra request headers (e.g. `X-Deadline-Ms`).
+/// [`request`] with extra request headers (e.g. `X-Deadline-Ms`). A body
+/// shorter than its `Content-Length` is an `UnexpectedEof` error.
 pub fn request_with_headers(
     addr: &str,
     method: &str,
@@ -47,80 +52,32 @@ pub fn request_with_headers(
     timeout: Duration,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<ClientResponse> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut w = stream.try_clone()?;
-    write!(w, "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n")?;
-    for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+    let mut headers = extra_headers.to_vec();
+    if body.is_some() {
+        headers.push(("Content-Type", "application/json"));
     }
-    match body {
-        Some(b) => {
-            write!(
-                w,
-                "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-                b.len()
-            )?;
-            w.write_all(b.as_bytes())?;
-        }
-        None => write!(w, "\r\n")?,
+    let resp = http::roundtrip(
+        addr,
+        method,
+        path,
+        &headers,
+        body.map(str::as_bytes),
+        timeout,
+    )?;
+    let declared = resp
+        .header("content-length")
+        .and_then(|v| v.parse::<usize>().ok());
+    if declared.is_some_and(|n| resp.body.len() < n) {
+        return Err(Error::new(
+            ErrorKind::UnexpectedEof,
+            "connection closed before the whole response body arrived",
+        ));
     }
-    w.flush()?;
-
-    let mut r = BufReader::new(stream);
-    let mut status_line = String::new();
-    r.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line {status_line:?}"),
-            )
-        })?;
-
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            headers.push((name, value));
-        }
-    }
-
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            r.read_exact(&mut buf)?;
-            String::from_utf8(buf)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-        }
-        None => {
-            // The server always sends Content-Length; fall back to
-            // read-to-close for robustness.
-            let mut buf = String::new();
-            r.read_to_string(&mut buf)?;
-            buf
-        }
-    };
+    let body = String::from_utf8(resp.body)
+        .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
     Ok(ClientResponse {
-        status,
+        status: resp.status,
         body,
-        headers,
+        headers: resp.headers,
     })
 }

@@ -19,7 +19,13 @@
 //!   requests are dropped.
 //! * **Graceful shutdown.** `POST /admin/shutdown` (or
 //!   [`Handle::shutdown`]) stops the accept loop, drains admitted work,
-//!   and joins every thread before [`Server::run`] returns.
+//!   and joins every thread before [`Server::run`] returns. Every
+//!   connection has read and write timeouts, so a stalled peer cannot
+//!   hold that join.
+//!
+//! The wire format is [`http`], re-exported from `aiio-replnet` so the
+//! server, [`client`] and the replication follower share one HTTP/1.1
+//! implementation.
 //!
 //! ```no_run
 //! use aiio_serve::{Server, ServeConfig};
@@ -33,11 +39,11 @@
 
 pub mod client;
 pub mod control;
-pub mod http;
 pub mod metrics;
 pub mod pool;
 pub mod queue;
 
+pub use aiio_replnet::http;
 pub use control::{ControlConfig, ControlError};
 
 use aiio::AiioService;
@@ -57,6 +63,12 @@ use std::time::{Duration, Instant};
 /// Ingested rows required before the drift detector is consulted (PSI over
 /// a handful of rows is noise).
 pub const DRIFT_MIN_ROWS: usize = 16;
+
+/// Read and write timeout on every accepted connection. A client that
+/// stalls mid-request or stops reading its response releases its
+/// connection thread after this long, so it can neither pin the thread
+/// nor hold up [`Server::run`]'s shutdown join.
+const CONN_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -498,7 +510,8 @@ impl Server {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(CONN_IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(CONN_IO_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -777,13 +790,7 @@ fn repl_get(req: &Request, shared: &Arc<Shared>) -> Response {
         // runs on files, after the guard is gone.
         repl_source_of(&state.store)
     };
-    let target = req.path.trim_start_matches("/repl/");
-    let reply = aiio_replnet::repl_reply(&src, target);
-    let mut resp = Response::bytes(reply.status, reply.content_type, reply.body);
-    for (name, value) in reply.headers {
-        resp = resp.with_header(&name, value);
-    }
-    resp
+    aiio_replnet::repl_reply(&src, req.path.trim_start_matches("/repl/"))
 }
 
 /// Copy a finished pull's per-shard lag/RTT measurements into gauges.

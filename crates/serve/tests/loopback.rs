@@ -7,14 +7,16 @@
 //! 2. queue overflow answers 503 + `Retry-After` without buffering;
 //! 3. a hot reload mid-traffic drops zero in-flight requests.
 
+mod common;
+
 use aiio::{AiioService, TrainConfig};
 use aiio_iosim::{DatabaseSampler, IorConfig, SamplerConfig, Simulator};
 use aiio_serve::client::{request, ClientResponse};
-use aiio_serve::{ServeConfig, Server};
+use aiio_serve::ServeConfig;
+use common::{metric_value, Running, RPC_TIMEOUT};
+use std::io::Write;
 use std::sync::OnceLock;
-use std::time::Duration;
-
-const RPC_TIMEOUT: Duration = Duration::from_secs(60);
+use std::time::{Duration, Instant};
 
 /// One small-but-real service shared by every test (training dominates
 /// test wall-clock; the serving layer under test is cheap).
@@ -42,38 +44,9 @@ fn job_json(seed: u64) -> String {
     serde_json::to_string(&log).unwrap()
 }
 
-struct Running {
-    addr: String,
-    handle: aiio_serve::Handle,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl Running {
-    fn start(config: ServeConfig) -> Running {
-        let server = Server::bind("127.0.0.1:0", service().clone(), config).unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || server.run());
-        Running {
-            addr,
-            handle,
-            thread,
-        }
-    }
-
-    fn rpc(&self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        request(&self.addr, method, path, body, RPC_TIMEOUT).unwrap()
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().unwrap().unwrap();
-    }
-}
-
 #[test]
 fn healthz_and_metrics_roundtrip() {
-    let s = Running::start(ServeConfig::default());
+    let s = Running::start(service(), ServeConfig::default());
     let health = s.rpc("GET", "/healthz", None);
     assert_eq!(health.status, 200);
     assert!(health.body.contains("\"status\":\"ok\""));
@@ -102,11 +75,14 @@ fn healthz_and_metrics_roundtrip() {
 
 #[test]
 fn batch_of_100_matches_sequential_bytes_across_4_workers() {
-    let s = Running::start(ServeConfig {
-        workers: 4,
-        queue_capacity: 128,
-        ..ServeConfig::default()
-    });
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            workers: 4,
+            queue_capacity: 128,
+            ..ServeConfig::default()
+        },
+    );
 
     let logs: Vec<String> = (0..100).map(job_json).collect();
     let batch_body = format!("[{}]", logs.join(","));
@@ -143,7 +119,7 @@ fn overflow_answers_503_with_retry_after_and_stays_bounded() {
         queue_capacity: 2,
         ..ServeConfig::default()
     };
-    let s = Running::start(config);
+    let s = Running::start(service(), config);
 
     let n_clients = 16;
     let mut total_busy = 0usize;
@@ -192,11 +168,14 @@ fn overflow_answers_503_with_retry_after_and_stays_bounded() {
 
 #[test]
 fn reload_mid_traffic_drops_zero_requests() {
-    let s = Running::start(ServeConfig {
-        workers: 4,
-        queue_capacity: 64,
-        ..ServeConfig::default()
-    });
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            workers: 4,
+            queue_capacity: 64,
+            ..ServeConfig::default()
+        },
+    );
     let baseline = {
         let log: aiio_darshan::JobLog = serde_json::from_str(&job_json(77)).unwrap();
         serde_json::to_string(&service().diagnose(&log)).unwrap()
@@ -250,13 +229,16 @@ fn reload_mid_traffic_drops_zero_requests() {
 fn ingest_appends_to_store_and_tracks_drift() {
     let dir = std::env::temp_dir().join(format!("aiio_serve_ingest_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let s = Running::start(ServeConfig {
-        store_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    });
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        },
+    );
 
     // Without a store the endpoint 404s — checked on a second server.
-    let plain = Running::start(ServeConfig::default());
+    let plain = Running::start(service(), ServeConfig::default());
     assert_eq!(plain.rpc("POST", "/ingest", Some(&job_json(0))).status, 404);
     plain.stop();
 
@@ -316,11 +298,14 @@ fn ingest_appends_to_store_and_tracks_drift() {
 fn sharded_ingest_routes_rows_and_exposes_per_shard_gauges() {
     let dir = std::env::temp_dir().join(format!("aiio_serve_shard_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let s = Running::start(ServeConfig {
-        store_dir: Some(dir.clone()),
-        shards: 3,
-        ..ServeConfig::default()
-    });
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir.clone()),
+            shards: 3,
+            ..ServeConfig::default()
+        },
+    );
 
     let fresh: Vec<String> = DatabaseSampler::new(SamplerConfig {
         n_jobs: 60,
@@ -372,10 +357,13 @@ fn sharded_ingest_routes_rows_and_exposes_per_shard_gauges() {
     assert!(fleet.recovery_report().is_clean());
     assert_eq!(fleet.len(), 60);
     drop(fleet);
-    let s = Running::start(ServeConfig {
-        store_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    });
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        },
+    );
     let r = s.rpc("POST", "/ingest", Some(&job_json(2)));
     assert_eq!(r.status, 200, "{}", r.body);
     assert!(r.body.contains("\"store_rows\":61"), "{}", r.body);
@@ -386,7 +374,7 @@ fn sharded_ingest_routes_rows_and_exposes_per_shard_gauges() {
 
 #[test]
 fn reload_refuses_garbage_and_empty_paths() {
-    let s = Running::start(ServeConfig::default());
+    let s = Running::start(service(), ServeConfig::default());
     let r = s.rpc("POST", "/admin/reload", Some("{\"nope\":1}"));
     assert_eq!(r.status, 400);
     let r = s.rpc(
@@ -403,7 +391,7 @@ fn reload_refuses_garbage_and_empty_paths() {
 
 #[test]
 fn bad_requests_get_4xx_not_a_hang() {
-    let s = Running::start(ServeConfig::default());
+    let s = Running::start(service(), ServeConfig::default());
     assert_eq!(s.rpc("POST", "/diagnose", Some("not json")).status, 400);
     assert_eq!(s.rpc("GET", "/nope", None).status, 404);
     assert_eq!(s.rpc("DELETE", "/diagnose", None).status, 405);
@@ -414,24 +402,19 @@ fn bad_requests_get_4xx_not_a_hang() {
     s.stop();
 }
 
-/// Value of one un-labelled counter in a `/metrics` exposition.
-fn metric_value(body: &str, name: &str) -> u64 {
-    body.lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{body}"))
-}
-
 #[test]
 fn parallel_engine_stress_stays_bounded_with_monotone_throughput() {
     // Parallel engine enabled: each pool worker fans its SHAP evaluations
     // over 2 engine threads while batches and singles race.
-    let s = Running::start(ServeConfig {
-        workers: 4,
-        queue_capacity: 64,
-        engine_threads: 2,
-        ..ServeConfig::default()
-    });
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            workers: 4,
+            queue_capacity: 64,
+            engine_threads: 2,
+            ..ServeConfig::default()
+        },
+    );
 
     let mid_scrape = std::sync::Mutex::new(String::new());
     std::thread::scope(|scope| {
@@ -515,10 +498,56 @@ fn parallel_engine_stress_stays_bounded_with_monotone_throughput() {
 
 #[test]
 fn admin_shutdown_is_graceful() {
-    let s = Running::start(ServeConfig::default());
+    let s = Running::start(service(), ServeConfig::default());
     let r = s.rpc("POST", "/admin/shutdown", None);
     assert_eq!(r.status, 200);
     assert!(r.body.contains("\"shutting_down\":true"));
     // run() exits cleanly without Handle::shutdown being called.
     s.thread.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_block_shutdown() {
+    // A WAL tail far larger than the loopback socket buffers, so the
+    // server's response write blocks once the kernel buffers fill.
+    let dir = aiio_testkit::tmpdir("aiio_serve_loopback", "stalled_reader").unwrap();
+    {
+        let mut store = aiio_store::Store::open(&dir).unwrap();
+        let jobs: Vec<aiio_darshan::JobLog> = (0..24u64)
+            .map(|i| aiio_darshan::JobLog::new(i, format!("{i}{}", "x".repeat(1 << 20)), 2020))
+            .collect();
+        store.append_batch(&jobs).unwrap();
+        store.sync().unwrap();
+    }
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        },
+    );
+    let mut stalled = std::net::TcpStream::connect(&s.addr).unwrap();
+    stalled
+        .write_all(b"GET /repl/0/wal?from=0 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    // A request is counted just before its response is written, so once
+    // it shows up the connection thread is in (or past) the write.
+    let end = Instant::now() + Duration::from_secs(60);
+    while !s
+        .rpc("GET", "/metrics", None)
+        .body
+        .contains("aiio_requests_total{endpoint=\"repl\"} 1")
+    {
+        assert!(Instant::now() < end, "the stalled request was never served");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    s.handle.shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(s.thread.join()));
+    let joined = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run() stayed blocked behind a client that never reads");
+    joined.unwrap().unwrap();
+    drop(stalled);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,16 +3,15 @@
 //! unanswerable ranges, and the hardened parser limits (431 oversized
 //! head, 400 duplicate Content-Length) observed on the wire.
 
+mod common;
+
 use aiio::{AiioService, TrainConfig};
 use aiio_darshan::{CounterId, JobLog};
 use aiio_iosim::{DatabaseSampler, SamplerConfig};
-use aiio_serve::client::request;
-use aiio_serve::{ServeConfig, Server};
+use aiio_serve::ServeConfig;
+use common::{Running, RPC_TIMEOUT};
 use std::io::{Read, Write};
 use std::sync::OnceLock;
-use std::time::Duration;
-
-const RPC_TIMEOUT: Duration = Duration::from_secs(60);
 
 fn service() -> &'static AiioService {
     static CACHE: OnceLock<AiioService> = OnceLock::new();
@@ -39,53 +38,31 @@ fn job(i: u64) -> JobLog {
     j
 }
 
-struct Running {
-    addr: String,
-    handle: aiio_serve::Handle,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl Running {
-    fn start(config: ServeConfig) -> Running {
-        let server = Server::bind("127.0.0.1:0", service().clone(), config).unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || server.run());
-        Running {
-            addr,
-            handle,
-            thread,
-        }
-    }
-
-    fn with_store(dir: &std::path::Path, shards: usize) -> Running {
-        Running::start(ServeConfig {
+fn with_store(dir: &std::path::Path, shards: usize) -> Running {
+    Running::start(
+        service(),
+        ServeConfig {
             store_dir: Some(dir.to_path_buf()),
             shards,
             ..ServeConfig::default()
-        })
-    }
+        },
+    )
+}
 
-    fn get(&self, path: &str) -> aiio_serve::client::ClientResponse {
-        request(&self.addr, "GET", path, None, RPC_TIMEOUT).unwrap()
-    }
+fn get(s: &Running, path: &str) -> aiio_serve::client::ClientResponse {
+    s.rpc("GET", path, None)
+}
 
-    fn ingest(&self, jobs: &[JobLog]) {
-        let body = format!(
-            "[{}]",
-            jobs.iter()
-                .map(|j| serde_json::to_string(j).unwrap())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let r = request(&self.addr, "POST", "/ingest", Some(&body), RPC_TIMEOUT).unwrap();
-        assert_eq!(r.status, 200, "{}", r.body);
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().unwrap().unwrap();
-    }
+fn ingest(s: &Running, jobs: &[JobLog]) {
+    let body = format!(
+        "[{}]",
+        jobs.iter()
+            .map(|j| serde_json::to_string(j).unwrap())
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let r = s.rpc("POST", "/ingest", Some(&body));
+    assert_eq!(r.status, 200, "{}", r.body);
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -107,48 +84,48 @@ fn row_ids(body: &str) -> Vec<u64> {
 fn check_query_contract(s: &Running) {
     // Bounded range: counter values equal job_id here, so ids 10..=19 in
     // insertion order.
-    let r = s.get("/query?counter=POSIX_OPENS&min=10&max=19.5");
+    let r = get(s, "/query?counter=POSIX_OPENS&min=10&max=19.5");
     assert_eq!(r.status, 200, "{}", r.body);
     assert_eq!(row_ids(&r.body), (10..20).collect::<Vec<u64>>());
     assert!(r.body.contains("\"truncated\":false"), "{}", r.body);
 
     // limit truncates rows but the summary still covers the whole scan.
-    let r = s.get("/query?counter=POSIX_OPENS&min=10&max=19.5&limit=4");
+    let r = get(s, "/query?counter=POSIX_OPENS&min=10&max=19.5&limit=4");
     assert_eq!(r.status, 200, "{}", r.body);
     assert_eq!(row_ids(&r.body), vec![10, 11, 12, 13]);
     assert!(r.body.contains("\"truncated\":true"), "{}", r.body);
     assert!(r.body.contains("\"rows_matched\":10"), "{}", r.body);
 
     // Unbounded scan returns everything in global insertion order.
-    let r = s.get("/query?counter=POSIX_OPENS");
+    let r = get(s, "/query?counter=POSIX_OPENS");
     assert_eq!(r.status, 200, "{}", r.body);
     assert_eq!(row_ids(&r.body), (0..40).collect::<Vec<u64>>());
 
     // Unanswerable ranges: 422 with a reasoned message.
-    assert_eq!(s.get("/query?counter=NOT_A_COUNTER").status, 422);
-    let r = s.get("/query?counter=POSIX_OPENS&min=5&max=2");
+    assert_eq!(get(s, "/query?counter=NOT_A_COUNTER").status, 422);
+    let r = get(s, "/query?counter=POSIX_OPENS&min=5&max=2");
     assert_eq!(r.status, 422);
     assert!(r.body.contains("inverted"), "{}", r.body);
-    assert_eq!(s.get("/query?counter=POSIX_OPENS&min=nan").status, 422);
+    assert_eq!(get(s, "/query?counter=POSIX_OPENS&min=nan").status, 422);
 
     // Malformed parameters: 400.
-    assert_eq!(s.get("/query?counter=POSIX_OPENS&limit=many").status, 400);
-    assert_eq!(s.get("/query?counter=POSIX_OPENS&min=abc").status, 400);
-    assert_eq!(s.get("/query?counter=POSIX_OPENS&frob=1").status, 400);
-    assert_eq!(s.get("/query").status, 400);
+    assert_eq!(get(s, "/query?counter=POSIX_OPENS&limit=many").status, 400);
+    assert_eq!(get(s, "/query?counter=POSIX_OPENS&min=abc").status, 400);
+    assert_eq!(get(s, "/query?counter=POSIX_OPENS&frob=1").status, 400);
+    assert_eq!(get(s, "/query").status, 400);
 }
 
 #[test]
 fn query_on_plain_store_returns_insertion_order() {
     let dir = tmpdir("plain");
-    let s = Running::with_store(&dir, 0);
+    let s = with_store(&dir, 0);
     let jobs: Vec<JobLog> = (0..40).map(job).collect();
-    s.ingest(&jobs);
+    ingest(&s, &jobs);
     check_query_contract(&s);
 
     // The endpoint shows up in metrics under its own label, and the
     // cache family renders whenever caching is enabled.
-    let metrics = s.get("/metrics");
+    let metrics = get(&s, "/metrics");
     assert!(
         metrics
             .body
@@ -169,9 +146,9 @@ fn query_on_plain_store_returns_insertion_order() {
 #[test]
 fn query_on_fleet_merges_scatter_gather_in_insertion_order() {
     let dir = tmpdir("fleet");
-    let s = Running::with_store(&dir, 4);
+    let s = with_store(&dir, 4);
     let jobs: Vec<JobLog> = (0..40).map(job).collect();
-    s.ingest(&jobs);
+    ingest(&s, &jobs);
     // Same contract as the plain store: sharding must be invisible.
     check_query_contract(&s);
     s.stop();
@@ -180,8 +157,8 @@ fn query_on_fleet_merges_scatter_gather_in_insertion_order() {
 
 #[test]
 fn query_without_a_store_is_404() {
-    let s = Running::start(ServeConfig::default());
-    assert_eq!(s.get("/query?counter=POSIX_OPENS").status, 404);
+    let s = Running::start(service(), ServeConfig::default());
+    assert_eq!(get(&s, "/query?counter=POSIX_OPENS").status, 404);
     s.stop();
 }
 
@@ -198,7 +175,7 @@ fn raw_roundtrip(addr: &str, raw: &[u8]) -> String {
 
 #[test]
 fn hardened_parser_limits_hold_on_the_wire() {
-    let s = Running::start(ServeConfig::default());
+    let s = Running::start(service(), ServeConfig::default());
 
     // 9 KiB request line: over the 8 KiB cap, answered 431.
     let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(9 * 1024));

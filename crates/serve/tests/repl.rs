@@ -17,33 +17,22 @@
 //! to persist the fault log (written after every round, so the file
 //! survives an assertion failure mid-test).
 
+mod common;
+
 use aiio::{AiioService, TrainConfig};
 use aiio_darshan::JobLog;
 use aiio_iosim::{DatabaseSampler, SamplerConfig};
 use aiio_replnet::{pull_pass, PullConfig};
-use aiio_serve::client::{request, ClientResponse};
-use aiio_serve::{ServeConfig, Server};
+use aiio_serve::ServeConfig;
 use aiio_shard::ShardedStore;
 use aiio_store::{Store, StoreConfig};
 use aiio_testkit::{rng, tmpdir, Fault, FaultProxy};
+use common::{build_primary, jobs_pool, metric_value, small_store, Running, SHARDS};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Duration;
-
-const RPC_TIMEOUT: Duration = Duration::from_secs(60);
-const SHARDS: usize = 3;
-
-/// Small store geometry so a handful of rows spans several WAL frames
-/// and seals produce real segments.
-fn small_store() -> StoreConfig {
-    StoreConfig {
-        rows_per_segment: 16,
-        wal_block_rows: 4,
-        verify_on_open: true,
-    }
-}
 
 /// Tight per-request posture for fault rounds: one attempt, no backoff,
 /// a deadline the stall fault overshoots.
@@ -77,21 +66,6 @@ fn oracle_cfg() -> TrainConfig {
     cfg.zoo = cfg.zoo.with_kinds(&[aiio::ModelKind::XgboostLike]);
     cfg.diagnosis.max_evals = 16;
     cfg
-}
-
-/// Deterministic job pool every test appends waves from.
-fn jobs_pool() -> &'static Vec<JobLog> {
-    static CACHE: OnceLock<Vec<JobLog>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        DatabaseSampler::new(SamplerConfig {
-            n_jobs: 240,
-            seed: 77,
-            noise_sigma: 0.0,
-        })
-        .generate()
-        .jobs()
-        .to_vec()
-    })
 }
 
 /// Every row as its JSON bytes, in journal order — sequence equality is
@@ -128,61 +102,6 @@ fn trained_bytes(backend: &dyn aiio_darshan::StoreBackend, tag: &str) -> Vec<u8>
     bytes
 }
 
-struct Running {
-    addr: String,
-    handle: aiio_serve::Handle,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl Running {
-    fn start(config: ServeConfig) -> Running {
-        let server = Server::bind("127.0.0.1:0", service().clone(), config).unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || server.run());
-        Running {
-            addr,
-            handle,
-            thread,
-        }
-    }
-
-    fn rpc(&self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        request(&self.addr, method, path, body, RPC_TIMEOUT).unwrap()
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().unwrap().unwrap();
-    }
-}
-
-fn metric_value(body: &str, name: &str) -> u64 {
-    body.lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{body}"))
-}
-
-/// Build a primary fleet under `dir` with sealed segments plus a live
-/// WAL tail, synced to disk, then drop the handle. A store directory
-/// has single-owner semantics — opening it rewrites the WAL via
-/// tmp-file + rename, orphaning any other live handle's file
-/// descriptor — so the builder must release the directory before the
-/// serve instance attaches, and [`open_fleet`] reclaims it afterwards.
-fn build_primary(dir: &Path, rows: std::ops::Range<usize>) {
-    let mut fleet = ShardedStore::open_with(dir, SHARDS, small_store()).unwrap();
-    let pool = jobs_pool();
-    let seal_at = rows.start + (rows.len() * 2) / 3;
-    for (i, job) in pool[rows.clone()].iter().enumerate() {
-        fleet.append(job).unwrap();
-        if rows.start + i + 1 == seal_at {
-            fleet.seal().unwrap();
-        }
-    }
-    fleet.sync().unwrap();
-}
-
 /// Reclaim exclusive ownership of a fleet directory. Must run *after*
 /// the serve instance binds: the serve's own open at bind rewrites the
 /// WALs, and whichever handle opens last owns the files. The serve
@@ -205,11 +124,14 @@ fn clean_two_host_sync_is_byte_identical_at_1_and_8_threads() {
     let foll = tmpdir("aiio_repl", "clean_follower").unwrap();
     build_primary(&prim, 0..56);
 
-    let server = Running::start(ServeConfig {
-        store_dir: Some(prim.clone()),
-        shards: SHARDS,
-        ..ServeConfig::default()
-    });
+    let server = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(prim.clone()),
+            shards: SHARDS,
+            ..ServeConfig::default()
+        },
+    );
     let base = format!("http://{}", server.addr);
     let fleet = open_fleet(&prim);
 
@@ -282,11 +204,14 @@ fn seeded_fault_schedules_never_publish_corrupt_or_duplicate_rows() {
     let foll = tmpdir("aiio_repl", "fault_follower").unwrap();
     build_primary(&prim, 0..32);
 
-    let server = Running::start(ServeConfig {
-        store_dir: Some(prim.clone()),
-        shards: SHARDS,
-        ..ServeConfig::default()
-    });
+    let server = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(prim.clone()),
+            shards: SHARDS,
+            ..ServeConfig::default()
+        },
+    );
     let proxy = FaultProxy::spawn(server.addr.parse().unwrap()).unwrap();
     let base = format!("http://{}", proxy.addr());
     let mut fleet = open_fleet(&prim);
@@ -397,10 +322,13 @@ fn any_crash_point_in_a_pass_resumes_without_duplicate_ordinals() {
         store.sync().unwrap();
     }
 
-    let server = Running::start(ServeConfig {
-        store_dir: Some(prim.clone()),
-        ..ServeConfig::default()
-    });
+    let server = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(prim.clone()),
+            ..ServeConfig::default()
+        },
+    );
     let proxy = FaultProxy::spawn(server.addr.parse().unwrap()).unwrap();
     let base = format!("http://{}", proxy.addr());
     let mut store = Store::open_with(&prim, cfg).unwrap();
@@ -493,11 +421,14 @@ fn replication_gauges_track_lag_and_follower_refuses_ingest() {
     let prim = tmpdir("aiio_repl", "gauge_primary").unwrap();
     let foll = tmpdir("aiio_repl", "gauge_follower").unwrap();
 
-    let primary = Running::start(ServeConfig {
-        store_dir: Some(prim.clone()),
-        shards: SHARDS,
-        ..ServeConfig::default()
-    });
+    let primary = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(prim.clone()),
+            shards: SHARDS,
+            ..ServeConfig::default()
+        },
+    );
     let batch: Vec<String> = jobs_pool()[0..40]
         .iter()
         .map(|j| serde_json::to_string(j).unwrap())
@@ -514,12 +445,15 @@ fn replication_gauges_track_lag_and_follower_refuses_ingest() {
     );
 
     // The follower pulls once at bind, then serves from replica dirs.
-    let follower = Running::start(ServeConfig {
-        store_dir: Some(foll.clone()),
-        shards: SHARDS,
-        replicate_from: Some(format!("http://{}", primary.addr)),
-        ..ServeConfig::default()
-    });
+    let follower = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(foll.clone()),
+            shards: SHARDS,
+            replicate_from: Some(format!("http://{}", primary.addr)),
+            ..ServeConfig::default()
+        },
+    );
     let fm = follower.rpc("GET", "/metrics", None);
     assert_eq!(metric_value(&fm.body, "aiio_store_rows"), 40);
     for s in 0..SHARDS {
@@ -603,10 +537,13 @@ fn stale_offset_on_a_rewritten_wal_frame_boundary_resets_instead_of_skipping() {
 
     // Attach the serve to the empty directory first; the test's handle
     // opens last and is the single writer from then on.
-    let server = Running::start(ServeConfig {
-        store_dir: Some(prim.clone()),
-        ..ServeConfig::default()
-    });
+    let server = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(prim.clone()),
+            ..ServeConfig::default()
+        },
+    );
     let base = format!("http://{}", server.addr);
     let mut store = Store::open_with(&prim, cfg).unwrap();
     for pair in jobs[..6].chunks(2) {

@@ -14,39 +14,28 @@
 //! to a path to persist the proxy's fault log (written after every
 //! round, so the file survives an assertion failure mid-test).
 
+mod common;
+
 use aiio::{AiioService, TrainConfig};
-use aiio_darshan::{CounterId, JobLog};
+use aiio_darshan::CounterId;
 use aiio_iosim::{DatabaseSampler, SamplerConfig};
-use aiio_serve::client::{request, ClientResponse};
+use aiio_serve::client::request;
 use aiio_serve::{ControlConfig, ServeConfig, Server};
 use aiio_shard::ShardedStore;
-use aiio_store::{CompactionTrigger, StoreConfig};
+use aiio_store::CompactionTrigger;
 use aiio_testkit::{rng, tmpdir, Fault, FaultProxy};
+use common::{build_primary, jobs_pool, metric_value, small_store, Running, RPC_TIMEOUT, SHARDS};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-const RPC_TIMEOUT: Duration = Duration::from_secs(60);
-const SHARDS: usize = 3;
 
 fn sched_seed() -> u64 {
     std::env::var("AIIO_SCHED_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42)
-}
-
-/// Small store geometry so a handful of rows spans several WAL frames
-/// and seals produce real segments.
-fn small_store() -> StoreConfig {
-    StoreConfig {
-        rows_per_segment: 16,
-        wal_block_rows: 4,
-        verify_on_open: true,
-    }
 }
 
 /// One small-but-real service shared by every serve instance (training
@@ -67,59 +56,6 @@ fn service() -> &'static AiioService {
     })
 }
 
-/// Deterministic job pool every test draws waves from.
-fn jobs_pool() -> &'static Vec<JobLog> {
-    static CACHE: OnceLock<Vec<JobLog>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        DatabaseSampler::new(SamplerConfig {
-            n_jobs: 240,
-            seed: 77,
-            noise_sigma: 0.0,
-        })
-        .generate()
-        .jobs()
-        .to_vec()
-    })
-}
-
-struct Running {
-    addr: String,
-    handle: aiio_serve::Handle,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl Running {
-    fn start(config: ServeConfig) -> Running {
-        let server = Server::bind("127.0.0.1:0", service().clone(), config).unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || server.run());
-        Running {
-            addr,
-            handle,
-            thread,
-        }
-    }
-
-    fn rpc(&self, method: &str, path: &str, body: Option<&str>) -> ClientResponse {
-        request(&self.addr, method, path, body, RPC_TIMEOUT).unwrap()
-    }
-
-    fn stop(self) {
-        self.handle.shutdown();
-        self.thread.join().unwrap().unwrap();
-    }
-}
-
-/// Value of one counter/gauge line in a `/metrics` exposition; pass the
-/// full labelled name for labelled families.
-fn metric_value(body: &str, name: &str) -> u64 {
-    body.lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{body}"))
-}
-
 /// Poll `/metrics` until `pred` holds or the deadline passes; returns
 /// the last scrape either way.
 fn wait_for_metrics(s: &Running, deadline: Duration, pred: impl Fn(&str) -> bool) -> String {
@@ -131,22 +67,6 @@ fn wait_for_metrics(s: &Running, deadline: Duration, pred: impl Fn(&str) -> bool
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-}
-
-/// Build a primary fleet under `dir` with sealed segments plus a live
-/// WAL tail, synced to disk, then drop the handle (store directories
-/// have single-owner semantics; see the repl suite for the full story).
-fn build_primary(dir: &Path, rows: std::ops::Range<usize>) {
-    let mut fleet = ShardedStore::open_with(dir, SHARDS, small_store()).unwrap();
-    let pool = jobs_pool();
-    let seal_at = rows.start + (rows.len() * 2) / 3;
-    for (i, job) in pool[rows.clone()].iter().enumerate() {
-        fleet.append(job).unwrap();
-        if rows.start + i + 1 == seal_at {
-            fleet.seal().unwrap();
-        }
-    }
-    fleet.sync().unwrap();
 }
 
 fn random_fault(rng: &mut ChaCha8Rng) -> Fault {
@@ -183,28 +103,34 @@ fn scheduled_pull_converges_to_zero_lag_under_seeded_faults() {
     let foll = tmpdir("aiio_sched", "pull_follower").unwrap();
     build_primary(&prim, 0..32);
 
-    let primary = Running::start(ServeConfig {
-        store_dir: Some(prim.clone()),
-        shards: SHARDS,
-        ..ServeConfig::default()
-    });
+    let primary = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(prim.clone()),
+            shards: SHARDS,
+            ..ServeConfig::default()
+        },
+    );
     let proxy = FaultProxy::spawn(primary.addr.parse().unwrap()).unwrap();
     let mut fleet = ShardedStore::open_with(&prim, SHARDS, small_store()).unwrap();
 
     // The follower's entire sync policy: a 50 ms scheduled pull with
     // seeded jitter. The bind-time pull runs through a clean proxy.
-    let follower = Running::start(ServeConfig {
-        store_dir: Some(foll.clone()),
-        shards: SHARDS,
-        replicate_from: Some(format!("http://{}", proxy.addr())),
-        control: ControlConfig {
-            pull_every: Some(Duration::from_millis(50)),
-            jitter: Duration::from_millis(10),
-            seed,
-            ..ControlConfig::default()
+    let follower = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(foll.clone()),
+            shards: SHARDS,
+            replicate_from: Some(format!("http://{}", proxy.addr())),
+            control: ControlConfig {
+                pull_every: Some(Duration::from_millis(50)),
+                jitter: Duration::from_millis(10),
+                seed,
+                ..ControlConfig::default()
+            },
+            ..ServeConfig::default()
         },
-        ..ServeConfig::default()
-    });
+    );
 
     for round in 0..4u32 {
         let lo = 32 + 8 * round as usize;
@@ -301,16 +227,19 @@ fn scheduled_pull_converges_to_zero_lag_under_seeded_faults() {
 #[test]
 fn drift_retrain_swaps_model_without_dropping_requests() {
     let dir = tmpdir("aiio_sched", "retrain").unwrap();
-    let s = Running::start(ServeConfig {
-        store_dir: Some(dir.clone()),
-        control: ControlConfig {
-            retrain_every: Some(Duration::from_millis(100)),
-            retrain_min_rows: 32,
-            seed: sched_seed(),
-            ..ControlConfig::default()
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir.clone()),
+            control: ControlConfig {
+                retrain_every: Some(Duration::from_millis(100)),
+                retrain_min_rows: 32,
+                seed: sched_seed(),
+                ..ControlConfig::default()
+            },
+            ..ServeConfig::default()
         },
-        ..ServeConfig::default()
-    });
+    );
 
     // A drifted wave: the serving model trained on sampler-shaped jobs;
     // these have POSIX_OPENS multiplied a million-fold (+6 in log10
@@ -397,19 +326,22 @@ fn drift_retrain_swaps_model_without_dropping_requests() {
 #[test]
 fn scheduled_compaction_folds_wal_into_segments() {
     let dir = tmpdir("aiio_sched", "compact").unwrap();
-    let s = Running::start(ServeConfig {
-        store_dir: Some(dir.clone()),
-        control: ControlConfig {
-            compact_every: Some(Duration::from_millis(50)),
-            compaction: CompactionTrigger {
-                max_segments: 0,
-                max_wal_bytes: 512,
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir.clone()),
+            control: ControlConfig {
+                compact_every: Some(Duration::from_millis(50)),
+                compaction: CompactionTrigger {
+                    max_segments: 0,
+                    max_wal_bytes: 512,
+                },
+                seed: sched_seed(),
+                ..ControlConfig::default()
             },
-            seed: sched_seed(),
-            ..ControlConfig::default()
+            ..ServeConfig::default()
         },
-        ..ServeConfig::default()
-    });
+    );
 
     let wave: Vec<String> = jobs_pool()[0..40]
         .iter()
@@ -451,7 +383,7 @@ fn scheduled_compaction_folds_wal_into_segments() {
 #[test]
 fn sched_stats_endpoint_reports_tasks_and_404s_without_scheduler() {
     // No scheduler configured: the endpoint says so.
-    let plain = Running::start(ServeConfig::default());
+    let plain = Running::start(service(), ServeConfig::default());
     let r = plain.rpc("GET", "/sched/stats", None);
     assert_eq!(r.status, 404, "{}", r.body);
     let m = plain.rpc("GET", "/metrics", None);
@@ -460,17 +392,20 @@ fn sched_stats_endpoint_reports_tasks_and_404s_without_scheduler() {
     plain.stop();
 
     let dir = tmpdir("aiio_sched", "stats").unwrap();
-    let s = Running::start(ServeConfig {
-        store_dir: Some(dir),
-        control: ControlConfig {
-            compact_every: Some(Duration::from_millis(20)),
-            retrain_every: Some(Duration::from_millis(40)),
-            jitter: Duration::from_millis(5),
-            seed: sched_seed(),
-            ..ControlConfig::default()
+    let s = Running::start(
+        service(),
+        ServeConfig {
+            store_dir: Some(dir),
+            control: ControlConfig {
+                compact_every: Some(Duration::from_millis(20)),
+                retrain_every: Some(Duration::from_millis(40)),
+                jitter: Duration::from_millis(5),
+                seed: sched_seed(),
+                ..ControlConfig::default()
+            },
+            ..ServeConfig::default()
         },
-        ..ServeConfig::default()
-    });
+    );
     // Wait until both tasks have run at least once, then read the JSON.
     wait_for_metrics(&s, Duration::from_secs(30), |b| {
         metric_value(b, "aiio_sched_runs_total{task=\"compact\"}") >= 1

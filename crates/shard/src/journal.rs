@@ -312,18 +312,14 @@ pub fn rewrite(dir: &Path, assignments: &[u8]) -> Result<JournalWriter> {
 /// [`rewrite`] with an explicit per-frame row cap; split out so tests
 /// can exercise chunking without 16M-row batches.
 fn rewrite_with_limit(dir: &Path, assignments: &[u8], max_rows: usize) -> Result<JournalWriter> {
-    let tmp = dir.join(JOURNAL_TMP_NAME);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        let mut base = 0u64;
-        for chunk in assignments.chunks(max_rows) {
-            f.write_all(&encode_frame(base, chunk))?;
-            base += chunk.len() as u64;
-        }
-        f.sync_all()?;
+    let mut bytes = Vec::new();
+    let mut base = 0u64;
+    for chunk in assignments.chunks(max_rows) {
+        bytes.extend_from_slice(&encode_frame(base, chunk));
+        base += chunk.len() as u64;
     }
     let path = dir.join(JOURNAL_NAME);
-    std::fs::rename(&tmp, &path)?;
+    aiio_store::durable_replace(&dir.join(JOURNAL_TMP_NAME), &path, &bytes)?;
     JournalWriter::open_append(&path)
 }
 

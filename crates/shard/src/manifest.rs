@@ -7,7 +7,6 @@
 //! single atomic manifest rename, so a crash at any point leaves either
 //! the old fleet or the new one, never a hybrid.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use aiio_store::{Result as StoreResult, StoreError};
@@ -92,19 +91,15 @@ pub fn load(root: &Path) -> StoreResult<Option<Manifest>> {
     Ok(Some(m))
 }
 
-/// Atomically publish `m` as `root/manifest.json` (tmp + fsync + rename).
+/// Atomically and durably publish `m` as `root/manifest.json` through
+/// [`aiio_store::durable_replace`].
 pub fn publish(root: &Path, m: &Manifest) -> StoreResult<()> {
     let tmp = root.join(MANIFEST_TMP_NAME);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        let text = serde_json::to_string(m).map_err(|e| StoreError::Format {
-            path: tmp.clone(),
-            detail: format!("unencodable manifest: {e}"),
-        })?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, root.join(MANIFEST_NAME))?;
+    let text = serde_json::to_string(m).map_err(|e| StoreError::Format {
+        path: tmp.clone(),
+        detail: format!("unencodable manifest: {e}"),
+    })?;
+    aiio_store::durable_replace(&tmp, &root.join(MANIFEST_NAME), text.as_bytes())?;
     Ok(())
 }
 

@@ -305,11 +305,7 @@ pub fn publish_bytes(dst: &Path, bytes: &[u8]) -> io::Result<()> {
         .and_then(|n| n.to_str())
         .ok_or_else(|| io::Error::other(format!("bad publish path {}", dst.display())))?;
     let staging = dst.with_file_name(format!("{name}{COPY_STAGING_SUFFIX}"));
-    let mut f = std::fs::File::create(&staging)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&staging, dst)
+    aiio_store::durable_replace(&staging, dst, bytes)
 }
 
 /// Append verified bytes and fsync.

@@ -11,7 +11,7 @@
 //! with bit-identical results at any thread count ([`store`]).
 //!
 //! Durability contract: every publish is a staging-file write + atomic
-//! rename, recovery truncates the WAL at the first bad checksum and
+//! rename + parent-directory fsync ([`durable_replace`]), recovery truncates the WAL at the first bad checksum and
 //! quarantines damaged segments, and what was dropped is reported in a
 //! [`RecoveryReport`] instead of silently vanishing. `Store` implements
 //! `darshan::StoreBackend`, so `FeaturePipeline` dataset construction —
@@ -20,6 +20,7 @@
 
 pub mod cache;
 mod codec;
+mod durable;
 pub mod error;
 pub mod schema;
 pub mod segment;
@@ -28,6 +29,7 @@ pub mod wal;
 
 pub use cache::{CacheStats, SegmentCache};
 pub use codec::crc32;
+pub use durable::durable_replace;
 pub use error::{Result, StoreError};
 pub use segment::{SegmentMeta, ZoneEntry};
 pub use store::{

@@ -193,16 +193,12 @@ pub fn write_segment(
     base_ordinal: u64,
     jobs: &[JobLog],
 ) -> Result<SegmentMeta> {
-    let bytes = encode_segment(base_ordinal, jobs);
-    let staging = dir.join(STAGING_NAME);
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&staging)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
     let path = dir.join(segment_file_name(id));
-    std::fs::rename(&staging, &path)?;
+    crate::durable_replace(
+        &dir.join(STAGING_NAME),
+        &path,
+        &encode_segment(base_ordinal, jobs),
+    )?;
     load_meta(&path)
 }
 

@@ -413,16 +413,13 @@ impl WalWriter {
 /// Atomically replace the WAL with exactly `jobs` (one block, or an empty
 /// file) via `wal.tmp` + rename, and return a fresh append handle.
 pub fn rewrite(dir: &Path, base_ordinal: u64, jobs: &[JobLog]) -> Result<WalWriter> {
-    let tmp = dir.join(WAL_TMP_NAME);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        if !jobs.is_empty() {
-            f.write_all(&encode_block(base_ordinal, jobs))?;
-        }
-        f.sync_all()?;
-    }
+    let bytes = if jobs.is_empty() {
+        Vec::new()
+    } else {
+        encode_block(base_ordinal, jobs)
+    };
     let path = dir.join(WAL_NAME);
-    std::fs::rename(&tmp, &path)?;
+    crate::durable_replace(&dir.join(WAL_TMP_NAME), &path, &bytes)?;
     WalWriter::open_append(&path)
 }
 

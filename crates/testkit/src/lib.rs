@@ -11,6 +11,12 @@
 //!
 //! It is a **dev-dependency only**: nothing in a shipping binary may
 //! depend on it.
+//!
+//! [`FaultProxy`] keeps its own byte-level HTTP framing rather than using
+//! `aiio_replnet::http`, for two reasons. It must relay and corrupt raw
+//! bytes, which a parsed response cannot express. And `aiio-store` and
+//! `aiio-shard` dev-depend on this crate, so depending on `aiio-replnet`
+//! (which depends on both) would close a dev-dependency cycle.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};

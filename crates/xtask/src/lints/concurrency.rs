@@ -101,11 +101,11 @@ const BLOCKING: &[&str] = &[
     "append_bytes(",
     "truncate_to(",
     "replica_rows(",
-    // Network replication transport: every one of these is a socket
-    // round-trip (with retries and deadlines). A guard held across a
-    // pull pass serializes the whole fleet behind one slow peer.
-    "http_fetch(",
-    "http_fetch_retry(",
+    // HTTP client and network replication transport: every one of these
+    // is a socket round-trip (with retries and deadlines). A guard held
+    // across a pull pass serializes the whole fleet behind one slow peer.
+    "roundtrip(",
+    "get_verified(",
     "pull_pass(",
     "probe_pass(",
     "pull_journal(",
@@ -1558,7 +1558,8 @@ mod tests {
         // whole server behind a slow peer and must flag R002.
         for op in [
             "pull_pass(&dir, &base, &cfg)",
-            "http_fetch_retry(&base, \"/x\", d, 0, b)",
+            "http::roundtrip(&base, \"GET\", \"/x\", &[], None, d)",
+            "get_verified(&base, \"/x\", &cfg, |_| Ok(()))",
         ] {
             let src = format!("impl S {{ fn f(&self) {{ let g = self.state.lock(); {op}; }} }}\n");
             let w = ws(&[("crates/a/src/lib.rs", src.as_str())]);
