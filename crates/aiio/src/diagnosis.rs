@@ -150,16 +150,20 @@ impl std::fmt::Display for DiagnosisReport {
 
 /// Error from a diagnosis request — the typed boundary the serving layer
 /// maps to HTTP 422 instead of panicking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DiagnoseError {
     /// The model zoo holds no trained models.
     EmptyZoo,
+    /// The log fails [`JobLog::validate`]: a short counter vector, or a
+    /// NaN, infinite or negative value the features would turn into NaN.
+    InvalidLog(aiio_darshan::InvalidJobLog),
 }
 
 impl std::fmt::Display for DiagnoseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DiagnoseError::EmptyZoo => write!(f, "cannot diagnose with an empty model zoo"),
+            DiagnoseError::InvalidLog(e) => write!(f, "invalid job log: {e}"),
         }
     }
 }
@@ -298,28 +302,27 @@ impl<'a> Diagnoser<'a> {
     /// Diagnose one job log.
     ///
     /// # Panics
-    /// Panics if the zoo is empty — use [`Diagnoser::try_diagnose`] at
-    /// service boundaries.
+    /// Panics if the zoo is empty or `log` fails [`JobLog::validate`] —
+    /// use [`Diagnoser::try_diagnose`] at service boundaries.
     pub fn diagnose(&self, log: &JobLog) -> DiagnosisReport {
         assert!(
             !self.zoo.is_empty(),
             "cannot diagnose with an empty model zoo"
         );
-        // The assert above rules out `EmptyZoo`, the only error variant;
-        // this arm cannot run (and `panic_any` keeps the invariant loud
-        // if the error enum ever grows).
         match self.try_diagnose(log) {
             Ok(report) => report,
-            Err(e @ DiagnoseError::EmptyZoo) => std::panic::panic_any(e),
+            Err(e) => std::panic::panic_any(e),
         }
     }
 
-    /// Diagnose one job log, returning a typed error on an empty zoo
-    /// instead of panicking (the serving layer maps this to HTTP 422).
+    /// Diagnose one job log, returning a typed error on an empty zoo or
+    /// a malformed log instead of panicking (the serving layer maps both
+    /// to HTTP 422).
     pub fn try_diagnose(&self, log: &JobLog) -> Result<DiagnosisReport, DiagnoseError> {
         if self.zoo.is_empty() {
             return Err(DiagnoseError::EmptyZoo);
         }
+        log.validate().map_err(DiagnoseError::InvalidLog)?;
         let features = self.pipeline.features_of(log);
         let tag = self.pipeline.tag_of(log);
 
@@ -562,6 +565,27 @@ mod tests {
         let zoo: ModelZoo = serde_json::from_str(r#"{"models":[],"failed":[]}"#).unwrap();
         let d = Diagnoser::new(&zoo, FeaturePipeline::paper(), DiagnosisConfig::default());
         assert_eq!(d.try_diagnose(&db.jobs()[0]), Err(DiagnoseError::EmptyZoo));
+    }
+
+    #[test]
+    fn malformed_log_yields_typed_error_not_garbage() {
+        let (zoo, db) = trained();
+        let d = Diagnoser::new(zoo, FeaturePipeline::paper(), DiagnosisConfig::default());
+        let mut negative = db.jobs()[0].clone();
+        negative.counters.set(CounterId::PosixReads, -5.0);
+        assert!(matches!(
+            d.try_diagnose(&negative),
+            Err(DiagnoseError::InvalidLog(_))
+        ));
+        let mut short = serde_json::to_string(&db.jobs()[0]).unwrap();
+        let values = short.find("\"values\":[").unwrap() + "\"values\":[".len();
+        let end = values + short[values..].find(']').unwrap();
+        short.replace_range(values..end, "1,2,3");
+        let short: JobLog = serde_json::from_str(&short).unwrap();
+        assert!(matches!(
+            d.try_diagnose(&short),
+            Err(DiagnoseError::InvalidLog(e)) if e.field == "counters"
+        ));
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn run() -> std::io::Result<()> {
     );
     let mut store = Store::open(&dir).map_err(|e| e.into_io())?;
     sampler
-        .sample_into_store(&mut store, chunk_rows)
+        .sample_into_store(chunk_rows, |jobs| store.append_batch(jobs))
         .map_err(|e| e.into_io())?;
     store.seal().map_err(|e| e.into_io())?;
     store.compact().map_err(|e| e.into_io())?;

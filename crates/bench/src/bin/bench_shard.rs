@@ -60,13 +60,9 @@ fn bench_layout(
     let mut fleet =
         ShardedStore::open_with(&dir, shards, Default::default()).map_err(|e| e.into_io())?;
     let t = Instant::now();
-    let mut start = 0usize;
-    while start < n_jobs {
-        let end = (start + chunk_rows).min(n_jobs);
-        let batch = sampler.generate_range(start as u64, end as u64);
-        fleet.append_batch(&batch).map_err(|e| e.into_io())?;
-        start = end;
-    }
+    sampler
+        .sample_into_store(chunk_rows, |batch| fleet.append_batch(batch))
+        .map_err(|e| e.into_io())?;
     fleet.sync().map_err(|e| e.into_io())?;
     let ingest_ms = t.elapsed().as_millis() as u64;
 

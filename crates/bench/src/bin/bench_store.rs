@@ -63,7 +63,7 @@ fn run() -> std::io::Result<()> {
     let mut store = Store::open(&dir).map_err(|e| e.into_io())?;
     let t = Instant::now();
     let ingested = sampler
-        .sample_into_store(&mut store, chunk_rows)
+        .sample_into_store(chunk_rows, |jobs| store.append_batch(jobs))
         .map_err(|e| e.into_io())?;
     store.sync().map_err(|e| e.into_io())?;
     let ingest_ms = t.elapsed().as_millis() as u64;

@@ -32,7 +32,8 @@ USAGE:
 
   aiio compact --store DIR
       Seal the store's WAL tail into columnar segments and merge
-      undersized segments.
+      undersized segments. On a sharded fleet, every shard is sealed and
+      compacted.
 
   aiio store-stats --store DIR [--json]
       Print segment/row/byte counters for a store, plus what (if
@@ -82,6 +83,8 @@ USAGE:
       /admin/reload and /admin/shutdown. With --store, POST /ingest
       appends job logs to the columnar store and /metrics gains store
       depth, segment counters and a drift gauge over the fresh tail.
+      A malformed job log (not exactly 46 counters, or a NaN, infinite
+      or negative value) answers 422 and is never stored or diagnosed.
       A sharded fleet (see ingest --shards) is detected automatically:
       ingest routes rows to their owning shard and /metrics adds
       per-shard rows, replication lag and failover gauges; --shards N
@@ -281,25 +284,29 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_sample(args: &[String]) -> Result<(), CliError> {
-    let (_, flags) = parse_flags(args)?;
-    apply_threads_flag(&flags)?;
-    let n_jobs: usize = parse_num(required(&flags, "jobs")?, "jobs")?;
-    let seed: u64 = flag(&flags, "seed")
+/// The database sampler `--jobs N [--seed S] [--noise SIGMA]` describe.
+fn sampler_of(flags: &HashMap<String, String>, jobs: &str) -> Result<DatabaseSampler, CliError> {
+    let seed: u64 = flag(flags, "seed")
         .map(|s| parse_num(s, "seed"))
         .transpose()?
         .unwrap_or(7);
-    let noise: f64 = flag(&flags, "noise")
+    let noise: f64 = flag(flags, "noise")
         .map(|s| parse_num(s, "noise"))
         .transpose()?
         .unwrap_or(0.03);
-    let out = required(&flags, "out")?;
-    let db = DatabaseSampler::new(SamplerConfig {
-        n_jobs,
+    Ok(DatabaseSampler::new(SamplerConfig {
+        n_jobs: parse_num(jobs, "jobs")?,
         seed,
         noise_sigma: noise,
-    })
-    .generate();
+    }))
+}
+
+fn cmd_sample(args: &[String]) -> Result<(), CliError> {
+    let (_, flags) = parse_flags(args)?;
+    apply_threads_flag(&flags)?;
+    let sampler = sampler_of(&flags, required(&flags, "jobs")?)?;
+    let out = required(&flags, "out")?;
+    let db = sampler.generate();
     db.save_json(out).map_err(|e| e.to_string())?;
     eprintln!(
         "wrote {} jobs to {out} (avg sparsity {:.3})",
@@ -309,10 +316,8 @@ fn cmd_sample(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Open a store, surfacing anything recovery had to drop.
-fn open_store(dir: &str) -> Result<aiio_store::Store, CliError> {
-    let store = aiio_store::Store::open(dir).map_err(|e| e.to_string())?;
-    let rec = store.recovery_report();
+/// Print what crash recovery had to drop or repair in one store.
+fn print_store_recovery(rec: &aiio_store::RecoveryReport) {
     if !rec.is_clean() {
         eprintln!(
             "recovery: {} WAL rows recovered, {} WAL bytes dropped, {} rows deduplicated, \
@@ -325,43 +330,70 @@ fn open_store(dir: &str) -> Result<aiio_store::Store, CliError> {
             rec.stale_segments_removed,
         );
     }
+}
+
+/// Print what opening a store directory found and repaired: per-store
+/// recovery, plus a fleet's failovers, journal cuts and orphans.
+fn print_recovery(rec: &aiio_shard::FleetRecovery) {
+    if !rec.failovers.is_empty() {
+        eprintln!(
+            "recovery: shard(s) {:?} failed over to their replica",
+            rec.failovers
+        );
+    }
+    if rec.journal_entries_dropped + rec.journal_bytes_dropped + rec.orphan_rows > 0 {
+        eprintln!(
+            "recovery: {} journal entries dropped ({} bytes), {} orphan row(s) pending repair",
+            rec.journal_entries_dropped, rec.journal_bytes_dropped, rec.orphan_rows,
+        );
+    }
+    rec.shard_reports.iter().for_each(print_store_recovery);
+}
+
+/// Open the store directory at `dir` (a plain store or a sharded fleet;
+/// `shards` only seeds a fresh directory), surfacing what recovery did.
+fn open_store(dir: &str, shards: usize) -> Result<aiio_shard::AnyStore, CliError> {
+    let store = aiio_shard::AnyStore::open(dir, shards).map_err(|e| e.to_string())?;
+    print_recovery(&store.recovery());
     Ok(store)
 }
 
-fn print_store_stats(store: &aiio_store::Store) {
-    let s = store.stats();
+/// `" (N shards)"` for a fleet, nothing for a plain store.
+fn shards_note(shards: usize) -> String {
+    if shards == 0 {
+        String::new()
+    } else {
+        format!(" ({shards} shards)")
+    }
+}
+
+fn print_store_line(s: &aiio_store::StoreStats) {
     eprintln!(
         "store: {} rows ({} sealed in {} segments, {} in WAL), {} segment bytes, {} WAL bytes",
         s.total_rows, s.sealed_rows, s.segments, s.wal_rows, s.sealed_bytes, s.wal_bytes
     );
 }
 
-/// True when `dir` holds an `aiio-shard` fleet (its manifest exists).
-fn is_fleet_dir(dir: &str) -> bool {
-    std::path::Path::new(dir)
-        .join(aiio_shard::manifest::MANIFEST_NAME)
-        .exists()
+fn print_shard_line(p: &aiio_shard::ShardStat) {
+    eprintln!(
+        "  shard {:03} [{}]: {} rows ({} sealed in {} segments, {} in WAL), \
+         replica at {} rows (lag {}), {} orphan row(s)",
+        p.shard,
+        p.role,
+        p.serving_rows,
+        p.store.sealed_rows,
+        p.store.segments,
+        p.store.wal_rows,
+        p.replica_rows,
+        p.replication_lag,
+        p.orphan_rows,
+    );
 }
 
-/// Open a sharded fleet, surfacing anything recovery had to do. `shards`
-/// only seeds a brand-new directory; an existing manifest wins.
-fn open_fleet(dir: &str, shards: usize) -> Result<aiio_shard::ShardedStore, CliError> {
-    let fleet = aiio_shard::ShardedStore::open_with(dir, shards.max(1), Default::default())
-        .map_err(|e| e.to_string())?;
-    let rec = fleet.recovery_report();
-    if !rec.is_clean() {
-        if !rec.failovers.is_empty() {
-            eprintln!(
-                "recovery: shard(s) {:?} failed over to their replica",
-                rec.failovers
-            );
-        }
-        eprintln!(
-            "recovery: {} journal entries dropped ({} bytes), {} orphan row(s) pending repair",
-            rec.journal_entries_dropped, rec.journal_bytes_dropped, rec.orphan_rows,
-        );
-    }
-    Ok(fleet)
+/// Whole-store totals, then one line per shard (none for a plain store).
+fn print_stats(s: &aiio_shard::AnyStats) {
+    print_store_line(&s.store);
+    s.shards.iter().for_each(print_shard_line);
 }
 
 fn print_fleet_stats(fleet: &aiio_shard::ShardedStore) {
@@ -370,64 +402,7 @@ fn print_fleet_stats(fleet: &aiio_shard::ShardedStore) {
         "fleet: {} rows across {} shards (epoch {}, journal {} bytes)",
         s.total_rows, s.shards, s.epoch, s.journal_bytes
     );
-    for p in &s.per_shard {
-        eprintln!(
-            "  shard {:03} [{}]: {} rows ({} sealed in {} segments, {} in WAL), \
-             replica at {} rows (lag {}), {} orphan row(s)",
-            p.shard,
-            p.role,
-            p.serving_rows,
-            p.store.sealed_rows,
-            p.store.segments,
-            p.store.wal_rows,
-            p.replica_rows,
-            p.replication_lag,
-            p.orphan_rows,
-        );
-    }
-}
-
-/// Ingest into a sharded fleet: same sources as the single-store path,
-/// chunked so peak memory stays bounded; the fleet routes each row.
-fn ingest_into_fleet(
-    fleet: &mut aiio_shard::ShardedStore,
-    flags: &HashMap<String, String>,
-    chunk: usize,
-) -> Result<(), CliError> {
-    match (flag(flags, "db"), flag(flags, "jobs")) {
-        (Some(db_path), None) => {
-            let db = LogDatabase::load_json(db_path).map_err(|e| e.to_string())?;
-            for jobs in db.jobs().chunks(chunk.max(1)) {
-                fleet.append_batch(jobs).map_err(|e| e.to_string())?;
-            }
-        }
-        (None, Some(n)) => {
-            let n_jobs: u64 = parse_num(n, "jobs")?;
-            let seed: u64 = flag(flags, "seed")
-                .map(|s| parse_num(s, "seed"))
-                .transpose()?
-                .unwrap_or(7);
-            let noise: f64 = flag(flags, "noise")
-                .map(|s| parse_num(s, "noise"))
-                .transpose()?
-                .unwrap_or(0.03);
-            let sampler = DatabaseSampler::new(SamplerConfig {
-                n_jobs: n_jobs as usize,
-                seed,
-                noise_sigma: noise,
-            });
-            let step = chunk.max(1) as u64;
-            let mut start = 0u64;
-            while start < n_jobs {
-                let end = (start + step).min(n_jobs);
-                let jobs = sampler.generate_range(start, end);
-                fleet.append_batch(&jobs).map_err(|e| e.to_string())?;
-                start = end;
-            }
-        }
-        _ => return Err("ingest needs exactly one of --db FILE or --jobs N".into()),
-    }
-    fleet.sync().map_err(|e| e.to_string())
+    s.per_shard.iter().for_each(print_shard_line);
 }
 
 fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
@@ -437,85 +412,73 @@ fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
     let chunk: usize = flag(&flags, "chunk")
         .map(|s| parse_num(s, "chunk"))
         .transpose()?
-        .unwrap_or(1024);
-    let shards_flag: Option<usize> = flag(&flags, "shards")
+        .unwrap_or(1024)
+        .max(1);
+    let shards: usize = flag(&flags, "shards")
         .map(|s| parse_num(s, "shards"))
-        .transpose()?;
-    if shards_flag.is_some() || is_fleet_dir(dir) {
-        let mut fleet = open_fleet(dir, shards_flag.unwrap_or(1))?;
-        let before = fleet.len();
-        ingest_into_fleet(&mut fleet, &flags, chunk)?;
-        eprintln!(
-            "ingested {} jobs into {dir} ({} shards)",
-            fleet.len() - before,
-            fleet.shards()
-        );
-        print_fleet_stats(&fleet);
-        return Ok(());
-    }
-    let mut store = open_store(dir)?;
+        .transpose()?
+        .unwrap_or(0);
+    let mut store = open_store(dir, shards)?;
     let before = store.len();
     match (flag(&flags, "db"), flag(&flags, "jobs")) {
         (Some(db_path), None) => {
             let db = LogDatabase::load_json(db_path).map_err(|e| e.to_string())?;
-            for jobs in db.jobs().chunks(chunk.max(1)) {
+            for jobs in db.jobs().chunks(chunk) {
                 store.append_batch(jobs).map_err(|e| e.to_string())?;
             }
         }
         (None, Some(n)) => {
-            let n_jobs: usize = parse_num(n, "jobs")?;
-            let seed: u64 = flag(&flags, "seed")
-                .map(|s| parse_num(s, "seed"))
-                .transpose()?
-                .unwrap_or(7);
-            let noise: f64 = flag(&flags, "noise")
-                .map(|s| parse_num(s, "noise"))
-                .transpose()?
-                .unwrap_or(0.03);
-            DatabaseSampler::new(SamplerConfig {
-                n_jobs,
-                seed,
-                noise_sigma: noise,
-            })
-            .sample_into_store(&mut store, chunk)
-            .map_err(|e| e.to_string())?;
+            sampler_of(&flags, n)?
+                .sample_into_store(chunk, |jobs| store.append_batch(jobs))
+                .map_err(|e| e.to_string())?;
         }
         _ => return Err("ingest needs exactly one of --db FILE or --jobs N".into()),
     }
     store.sync().map_err(|e| e.to_string())?;
-    eprintln!("ingested {} jobs into {dir}", store.len() - before);
-    print_store_stats(&store);
+    let stats = store.stats();
+    eprintln!(
+        "ingested {} jobs into {dir}{}",
+        store.len() - before,
+        shards_note(stats.shards.len())
+    );
+    print_stats(&stats);
     Ok(())
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     let (_, flags) = parse_flags(args)?;
     let dir = required(&flags, "store")?;
-    let mut store = open_store(dir)?;
+    let mut store = open_store(dir, 0)?;
     let sealed = store.seal().map_err(|e| e.to_string())?;
     let report = store.compact().map_err(|e| e.to_string())?;
     eprintln!(
         "sealed {sealed} new segment(s); merged {} group(s): {} -> {} segments ({} rows moved)",
         report.groups_merged, report.segments_before, report.segments_after, report.rows_moved
     );
-    print_store_stats(&store);
+    print_stats(&store.stats());
     Ok(())
+}
+
+/// The layout `dir` holds, as the store handle reads it.
+fn layout_of(dir: &str) -> Result<Option<aiio_shard::Layout>, CliError> {
+    aiio_shard::Layout::of(std::path::Path::new(dir)).map_err(|e| e.to_string())
 }
 
 fn cmd_store_stats(args: &[String]) -> Result<(), CliError> {
     let (_, flags) = parse_flags(args)?;
     let dir = required(&flags, "store")?;
-    if is_fleet_dir(dir) {
+    if layout_of(dir)? == Some(aiio_shard::Layout::Fleet) {
         return Err(format!(
             "{dir} is a sharded fleet; use `aiio shard-stats --store {dir}`"
         ));
     }
-    let store = open_store(dir)?;
+    let store = aiio_store::Store::open(dir).map_err(|e| e.to_string())?;
+    print_store_recovery(store.recovery_report());
     if flag(&flags, "json").is_some() {
         let body = serde_json::to_string_pretty(&store.stats()).map_err(|e| e.to_string())?;
         println!("{body}");
     } else {
-        print_store_stats(&store);
+        print_store_line(&store.stats());
         for seg in store.segments() {
             eprintln!(
                 "  segment {:08}: rows {} (ordinals {}..{}), {} bytes",
@@ -530,17 +493,24 @@ fn cmd_store_stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Open an existing fleet or fail with a hint — the read-only shard
+/// Fail with a hint unless `dir` already holds a fleet — the shard
 /// commands never initialise a directory by accident.
-fn open_existing_fleet(dir: &str) -> Result<aiio_shard::ShardedStore, CliError> {
-    if !is_fleet_dir(dir) {
-        return Err(format!(
-            "{dir} is not a sharded fleet (no {}); create one with \
-             `aiio ingest --store {dir} --shards N ...`",
-            aiio_shard::manifest::MANIFEST_NAME
-        ));
+fn require_fleet(dir: &str) -> Result<(), CliError> {
+    match layout_of(dir)? {
+        Some(aiio_shard::Layout::Fleet) => Ok(()),
+        _ => Err(format!(
+            "{dir} is not a sharded fleet; create one with \
+             `aiio ingest --store {dir} --shards N ...`"
+        )),
     }
-    open_fleet(dir, 1)
+}
+
+/// Open an existing fleet, surfacing what recovery did.
+fn open_existing_fleet(dir: &str) -> Result<aiio_shard::ShardedStore, CliError> {
+    require_fleet(dir)?;
+    let fleet = aiio_shard::ShardedStore::open(dir).map_err(|e| e.to_string())?;
+    print_recovery(fleet.recovery_report());
+    Ok(fleet)
 }
 
 fn cmd_shard_stats(args: &[String]) -> Result<(), CliError> {
@@ -611,13 +581,7 @@ fn cmd_rebalance(args: &[String]) -> Result<(), CliError> {
     let (_, flags) = parse_flags(args)?;
     let dir = required(&flags, "store")?;
     let to: usize = parse_num(required(&flags, "shards")?, "shards")?;
-    if !is_fleet_dir(dir) {
-        return Err(format!(
-            "{dir} is not a sharded fleet (no {}); create one with \
-             `aiio ingest --store {dir} --shards N ...`",
-            aiio_shard::manifest::MANIFEST_NAME
-        ));
-    }
+    require_fleet(dir)?;
     let report = aiio_shard::rebalance(dir, to).map_err(|e| e.to_string())?;
     if flag(&flags, "json").is_some() {
         let body = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
@@ -635,8 +599,7 @@ fn cmd_rebalance(args: &[String]) -> Result<(), CliError> {
             report.segments_fastpathed,
             report.segments_split,
         );
-        let fleet = open_fleet(dir, to)?;
-        print_fleet_stats(&fleet);
+        print_fleet_stats(&open_existing_fleet(dir)?);
     }
     Ok(())
 }
@@ -669,26 +632,8 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
             );
             AiioService::train(&cfg, &db).map_err(|e| e.to_string())?
         }
-        (None, Some(dir)) if is_fleet_dir(dir) => {
-            let fleet = open_fleet(dir, 1)?;
-            if fleet.len() < 20 {
-                return Err(format!(
-                    "fleet has only {} jobs; need at least 20",
-                    fleet.len()
-                ));
-            }
-            eprintln!(
-                "training out-of-core on {} jobs across {} shards ({} models)...",
-                fleet.len(),
-                fleet.shards(),
-                cfg.zoo.kinds.len()
-            );
-            // Scatter-gather scans replay global insertion order, so this
-            // is byte-identical to training from an unsharded store.
-            AiioService::train_from_backend(&cfg, &fleet).map_err(|e| e.to_string())?
-        }
         (None, Some(dir)) => {
-            let store = open_store(dir)?;
+            let store = open_store(dir, 0)?;
             if store.len() < 20 {
                 return Err(format!(
                     "store has only {} jobs; need at least 20",
@@ -696,10 +641,13 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
                 ));
             }
             eprintln!(
-                "training out-of-core on {} stored jobs ({} models)...",
+                "training out-of-core on {} stored jobs{} ({} models)...",
                 store.len(),
+                shards_note(store.stats().shards.len()),
                 cfg.zoo.kinds.len()
             );
+            // A fleet's scans replay global insertion order, so the models
+            // are byte-identical to training from an unsharded store.
             AiioService::train_from_backend(&cfg, &store).map_err(|e| e.to_string())?
         }
         _ => return Err("train needs exactly one of --db FILE or --store DIR".into()),
@@ -730,7 +678,7 @@ fn cmd_diagnose(args: &[String]) -> Result<(), CliError> {
         parse_text(&raw).map_err(|e| e.to_string())?
     };
 
-    let report = service.diagnose(&log);
+    let report = service.try_diagnose(&log).map_err(|e| e.to_string())?;
     if flag(&flags, "json").is_some() {
         println!(
             "{}",
@@ -939,17 +887,10 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         }
         printed += 1;
     };
-    let summary = if is_fleet_dir(dir) {
-        let fleet = open_fleet(dir, 0)?;
-        fleet
-            .scan_filtered(&range, &mut emit)
-            .map_err(|e| e.to_string())?
-    } else {
-        let store = open_store(dir)?;
-        store
-            .scan_filtered(&range, &mut emit)
-            .map_err(|e| e.to_string())?
-    };
+    let summary = open_store(dir, 0)?
+        .read_view()
+        .scan_filtered(&range, &mut emit)
+        .map_err(|e| e.to_string())?;
     if let Some(e) = row_err {
         return Err(format!("row serialization failed: {e}"));
     }

@@ -305,6 +305,7 @@ fn sharded_workflow_ingest_rebalance_replicate_train_matches_single() {
     let model_store = dir.join("model_store.json");
     let model_fleet = dir.join("model_fleet.json");
     let model_rebalanced = dir.join("model_rebalanced.json");
+    let model_compacted = dir.join("model_compacted.json");
 
     assert!(aiio()
         .args(["sample", "--jobs", "120", "--seed", "5", "--noise", "0", "--out"])
@@ -430,6 +431,53 @@ fn sharded_workflow_ingest_rebalance_replicate_train_matches_single() {
         std::fs::read(&model_store).unwrap(),
         std::fs::read(&model_rebalanced).unwrap(),
         "model changed after rebalance"
+    );
+
+    // Compact seals and compacts every shard. Nothing lands at the fleet
+    // root, no row is lost, and training bytes are unchanged.
+    let out = aiio()
+        .args(["compact", "--store"])
+        .arg(&fleet)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("store: 120 rows"));
+    assert!(!fleet.join("wal.bin").exists(), "compact wrote a plain WAL");
+    let out = aiio()
+        .args(["shard-stats", "--json", "--store"])
+        .arg(&fleet)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stats: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    assert_eq!(stats["total_rows"].as_u64(), Some(120));
+    for shard in stats["per_shard"].as_array().unwrap() {
+        assert!(
+            shard["store"]["segments"].as_u64().unwrap() > 0,
+            "{shard:?}"
+        );
+        assert_eq!(shard["store"]["wal_rows"].as_u64(), Some(0), "{shard:?}");
+    }
+    let out = aiio()
+        .args(["train", "--fast", "--store"])
+        .arg(&fleet)
+        .arg("--out")
+        .arg(&model_compacted)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&model_store).unwrap(),
+        std::fs::read(&model_compacted).unwrap(),
+        "model changed after compaction"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -25,5 +25,5 @@ pub mod parser;
 pub use counters::{CounterCategory, CounterId, N_COUNTERS};
 pub use database::{LogDatabase, SplitIndices, StoreBackend, YearSummary};
 pub use features::{Dataset, FeaturePipeline};
-pub use log::{CounterSet, JobLog, TimeCounters};
+pub use log::{CounterSet, InvalidJobLog, JobLog, TimeCounters};
 pub use parser::{parse_text, to_total_text, ParseError};

@@ -107,6 +107,34 @@ pub struct TimeCounters {
     pub slowest_rank_seconds: f64,
 }
 
+/// Why [`JobLog::validate`] rejected a log: the first offending field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InvalidJobLog {
+    /// The offending log.
+    pub job_id: u64,
+    /// A counter name, a [`TimeCounters`] field, or `"counters"` when the
+    /// counter vector has the wrong length.
+    pub field: &'static str,
+    /// The offending value (for `"counters"`, the vector's length).
+    pub value: f64,
+}
+
+impl std::fmt::Display for InvalidJobLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (job, field, value) = (self.job_id, self.field, self.value);
+        if field == "counters" {
+            write!(
+                f,
+                "job {job}: {value} counter values, expected {N_COUNTERS}"
+            )
+        } else {
+            write!(f, "job {job}: {field} is {value}; must be finite and >= 0")
+        }
+    }
+}
+
+impl std::error::Error for InvalidJobLog {}
+
 /// One job's Darshan log: identity, the 46 feature counters, and the time
 /// counters used for the performance tag.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,6 +162,41 @@ impl JobLog {
             counters: CounterSet::new(),
             time: TimeCounters::default(),
         }
+    }
+
+    /// Check the log is well formed: exactly [`N_COUNTERS`] counter
+    /// values, every counter and time field finite and non-negative (the
+    /// rule the text parser enforces by clamping). Logs from JSON must be
+    /// checked before they reach a store or a model: serde accepts any
+    /// vector length and any number.
+    pub fn validate(&self) -> Result<(), InvalidJobLog> {
+        let values = self.counters.as_slice();
+        let invalid = |field, value| {
+            Err(InvalidJobLog {
+                job_id: self.job_id,
+                field,
+                value,
+            })
+        };
+        if values.len() != N_COUNTERS {
+            return invalid("counters", values.len() as f64);
+        }
+        let t = &self.time;
+        let fields = CounterId::ALL
+            .iter()
+            .map(|c| c.name())
+            .zip(values.iter().copied());
+        for (field, value) in fields.chain([
+            ("total_read_time", t.total_read_time),
+            ("total_write_time", t.total_write_time),
+            ("total_meta_time", t.total_meta_time),
+            ("slowest_rank_seconds", t.slowest_rank_seconds),
+        ]) {
+            if !(value.is_finite() && value >= 0.0) {
+                return invalid(field, value);
+            }
+        }
+        Ok(())
     }
 
     /// Total bytes transferred (read + written) by all ranks.
@@ -241,6 +304,28 @@ mod tests {
         let _ = CounterSet::from_vec(v);
         let bad = vec![0.0; 3];
         assert!(std::panic::catch_unwind(|| CounterSet::from_vec(bad)).is_err());
+    }
+
+    #[test]
+    fn validate_accepts_well_formed_and_rejects_each_bad_shape() {
+        assert_eq!(sample_log().validate(), Ok(()));
+        let short: JobLog = serde_json::from_str(
+            r#"{"job_id":3,"app":"x","year":2020,"counters":{"values":[1,2,3]},
+                "time":{"total_read_time":0,"total_write_time":0,"total_meta_time":0,
+                "slowest_rank_seconds":1}}"#,
+        )
+        .unwrap();
+        let err = short.validate().unwrap_err();
+        assert_eq!((err.job_id, err.field, err.value), (3, "counters", 3.0));
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut log = sample_log();
+            log.counters.set(CounterId::PosixSeeks, bad);
+            let err = log.validate().unwrap_err();
+            assert_eq!(err.field, "POSIX_SEEKS", "{err}");
+            let mut log = sample_log();
+            log.time.total_meta_time = bad;
+            assert_eq!(log.validate().unwrap_err().field, "total_meta_time");
+        }
     }
 
     #[test]

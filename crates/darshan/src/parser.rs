@@ -181,8 +181,8 @@ fn apply_counter(
     meta_time: &mut f64,
 ) -> bool {
     // Darshan uses -1 for "not recorded" on some counters; clamp anything
-    // negative (and reject NaN) so the feature pipeline only ever sees
-    // finite non-negative values.
+    // negative (and drop NaN/inf) so every parsed log satisfies
+    // `JobLog::validate` — the same rule JSON input is checked against.
     if !value.is_finite() {
         return false;
     }

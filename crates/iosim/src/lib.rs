@@ -33,10 +33,8 @@
 //! * [`apps`] — the paper's three real-application kernels (E2E, OpenPMD,
 //!   DASSA), untuned and tuned variants.
 //! * [`sampler`] — randomized job sampling to build large training
-//!   databases (the NERSC-database substitute).
-//! * [`store_recorder`] — out-of-core sibling of [`recorder`]: simulate
-//!   and append counter logs straight into an `aiio-store` store in
-//!   bounded-memory chunks.
+//!   databases (the NERSC-database substitute), in memory or streamed
+//!   into an `aiio-store` store in bounded-memory chunks.
 
 pub mod apps;
 pub mod config;
@@ -46,7 +44,6 @@ pub mod labels;
 pub mod ops;
 pub mod recorder;
 pub mod sampler;
-pub mod store_recorder;
 pub mod trace;
 
 pub use config::StorageConfig;
@@ -55,5 +52,4 @@ pub use ior::IorConfig;
 pub use labels::{cost_breakdown, ground_truth, BottleneckClass, CostBreakdown};
 pub use ops::{AccessLayout, JobSpec, OpBlock, RankGroup, ReadWrite};
 pub use sampler::{DatabaseSampler, SamplerConfig};
-pub use store_recorder::StoreRecorder;
 pub use trace::{parse_trace, to_trace, TraceError};

@@ -91,10 +91,33 @@ impl DatabaseSampler {
     /// job is a pure function of `(seed, job_id)`, the concatenation of
     /// consecutive ranges equals one big [`DatabaseSampler::generate`] —
     /// the building block for streaming a huge database through bounded
-    /// memory (see [`crate::store_recorder`]).
+    /// memory ([`DatabaseSampler::sample_into_store`]).
     pub fn generate_range(&self, start: u64, end: u64) -> Vec<JobLog> {
         let ids: Vec<u64> = (start..end.max(start)).collect();
         aiio_par::map(&ids, |&job_id| self.generate_job(job_id))
+    }
+
+    /// Stream the full sampled database into a store through `append`,
+    /// in bounded-memory chunks of `chunk_rows` jobs, and return the jobs
+    /// sampled. Deterministic: the chunks concatenate to exactly what
+    /// [`DatabaseSampler::generate`] returns, in the same order, but peak
+    /// memory is one chunk — this is how a paper-scale (millions of jobs)
+    /// database is built. `append` is typically a store's `append_batch`,
+    /// so any layout can be filled.
+    pub fn sample_into_store(
+        &self,
+        chunk_rows: usize,
+        mut append: impl FnMut(&[JobLog]) -> aiio_store::Result<()>,
+    ) -> aiio_store::Result<u64> {
+        let n = self.config.n_jobs as u64;
+        let chunk = chunk_rows.max(1) as u64;
+        let mut start = 0u64;
+        while start < n {
+            let end = (start + chunk).min(n);
+            append(&self.generate_range(start, end))?;
+            start = end;
+        }
+        Ok(n)
     }
 
     /// Generate one job by id.
@@ -269,6 +292,35 @@ mod tests {
         pieces.extend(sampler.generate_range(20, 48));
         assert_eq!(whole.jobs(), &pieces[..]);
         assert!(sampler.generate_range(5, 5).is_empty());
+    }
+
+    #[test]
+    fn sample_into_store_equals_in_memory_generation() {
+        let dir = std::env::temp_dir().join(format!("aiio_sampler_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = aiio_store::Store::open_with(
+            &dir,
+            aiio_store::StoreConfig {
+                rows_per_segment: 16,
+                ..aiio_store::StoreConfig::default()
+            },
+        )
+        .unwrap();
+        let sampler = DatabaseSampler::new(SamplerConfig {
+            n_jobs: 50,
+            seed: 23,
+            noise_sigma: 0.01,
+        });
+        let n = sampler
+            .sample_into_store(7, |jobs| store.append_batch(jobs))
+            .unwrap();
+        assert_eq!(n, 50);
+        assert_eq!(store.len(), 50);
+        // Chunked out-of-core ingestion lands byte-for-byte on generate().
+        assert_eq!(store.read_all().unwrap(), sampler.generate());
+        // Small chunks against a 16-row segment size must still have sealed.
+        assert!(store.stats().segments >= 2, "{:?}", store.stats());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -17,11 +17,13 @@ use std::path::{Path, PathBuf};
 
 use aiio_shard::journal;
 use aiio_shard::replica::{DirSource, ShardSource};
+use aiio_shard::AnyStore;
 
 use crate::http::{self, Response};
 use crate::{H_FRAMES, H_OFFSET, H_RESET, H_ROWS};
 
-/// Where the primary's bytes live, snapshotted from the attached store.
+/// Where the primary's bytes live, snapshotted from the attached store
+/// by [`ReplSource::of`].
 #[derive(Debug, Clone)]
 pub enum ReplSource {
     /// A plain single store: one WAL + segments directly under `dir`.
@@ -39,6 +41,25 @@ pub enum ReplSource {
         /// Path to the epoch's ordinal journal.
         journal: PathBuf,
     },
+}
+
+impl ReplSource {
+    /// Snapshot where `store`'s bytes live. Cheap (paths and the epoch
+    /// only): the serving layer takes it under its store lock and the
+    /// reply builders read files after the lock is gone, against bytes
+    /// the durability contract has already published.
+    pub fn of(store: &AnyStore) -> ReplSource {
+        match store {
+            AnyStore::Plain(s) => ReplSource::Single {
+                dir: s.root().to_path_buf(),
+            },
+            AnyStore::Fleet(f) => ReplSource::Fleet {
+                epoch: f.manifest().epoch,
+                serving_dirs: f.serving_dirs(),
+                journal: f.journal_path(),
+            },
+        }
+    }
 }
 
 /// `GET /repl/manifest` body: enough for a follower to mirror the
@@ -203,39 +224,43 @@ fn journal_reply(src: &ReplSource, query: &str) -> Response {
 mod tests {
     use super::*;
 
-    fn single(dir: &Path) -> ReplSource {
-        ReplSource::Single {
-            dir: dir.to_path_buf(),
-        }
+    fn single(tag: &str) -> (PathBuf, ReplSource) {
+        let dir = std::env::temp_dir().join(format!("replnet-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let src = ReplSource::of(&AnyStore::open(&dir, 0).unwrap());
+        (dir, src)
     }
 
     #[test]
     fn unknown_paths_and_bad_shards_are_404() {
-        let dir = std::env::temp_dir().join("replnet-server-404");
-        let src = single(&dir);
+        let (dir, src) = single("404");
         assert_eq!(repl_reply(&src, "nope").status, 404);
         assert_eq!(repl_reply(&src, "1/wal").status, 404);
         assert_eq!(repl_reply(&src, "0/segment/../wal.bin").status, 404);
         assert_eq!(repl_reply(&src, "journal").status, 404);
         assert_eq!(repl_reply(&src, "0/wal?from=abc").status, 400);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn manifest_round_trips() {
-        let dir = std::env::temp_dir().join("replnet-server-manifest");
-        let r = repl_reply(&single(&dir), "manifest");
+        let (dir, src) = single("manifest");
+        let r = repl_reply(&src, "manifest");
         assert_eq!(r.status, 200);
         let m: ReplManifest = serde_json::from_str(std::str::from_utf8(&r.body).unwrap()).unwrap();
         assert_eq!(m.layout, "single");
         assert_eq!(m.shards, 1);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn missing_wal_is_an_empty_tail_not_an_error() {
-        let dir = std::env::temp_dir().join("replnet-server-nowal");
-        let r = repl_reply(&single(&dir), "0/wal?from=0");
+        let (dir, src) = single("nowal");
+        std::fs::remove_file(dir.join(aiio_store::wal::WAL_NAME)).unwrap();
+        let r = repl_reply(&src, "0/wal?from=0");
         assert_eq!(r.status, 200);
         assert!(r.body.is_empty());
         assert!(r.headers.iter().any(|(n, v)| n == H_OFFSET && v == "0"));
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

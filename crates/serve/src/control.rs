@@ -23,8 +23,9 @@
 //!   so the swap drops zero requests.
 
 use crate::metrics::Metrics;
-use crate::{pool, update_repl_gauges, update_store_gauges, AttachedStore, Shared};
+use crate::{pool, update_repl_gauges, update_store_gauges, Shared};
 use aiio_sched::{RealClock, SchedHandle, Scheduler, TaskSpec};
+use aiio_shard::AnyStore;
 use aiio_store::CompactionTrigger;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -303,7 +304,7 @@ pub(crate) fn pull_and_reopen(
     // xtask-allow: AIIO-R002 — intentional hold: the reopen swaps the
     // attached store atomically with respect to concurrent readers of
     // the ingest state; serving a half-swapped store would mix epochs.
-    match AttachedStore::open(dir, shared.config.shards) {
+    match AnyStore::open(dir, shared.config.shards) {
         Ok(new_store) => st.store = new_store,
         Err(e) => {
             return Err(PullError::Local(format!(
@@ -312,9 +313,9 @@ pub(crate) fn pull_and_reopen(
             )))
         }
     }
-    let snapshot = st.store.snapshot();
+    let stats = st.store.stats();
     drop(st);
-    update_store_gauges(&shared.metrics, &snapshot);
+    update_store_gauges(&shared.metrics, &stats);
     update_repl_gauges(&shared.metrics, &report);
     Ok(report)
 }
@@ -344,7 +345,7 @@ pub(crate) fn run_compact(shared: &Shared) -> Result<bool, String> {
     let Ok(mut st) = state.lock() else {
         return Err("store mutex poisoned".to_string());
     };
-    if !trigger.due(&st.store.combined_stats()) {
+    if !trigger.due(&st.store.stats().store) {
         return Ok(false);
     }
     // xtask-allow: AIIO-R002 — intentional hold: the ingest mutex *is*
@@ -353,15 +354,16 @@ pub(crate) fn run_compact(shared: &Shared) -> Result<bool, String> {
     // would corrupt ordinal assignment.
     // xtask-allow: AIIO-R001 — the cycle the cross-crate name
     // resolution reports pairs this guard with the worker queue's
-    // internal mutex, but seal_and_compact is pure store file I/O: no
-    // path from it ever touches the queue, so the cycle cannot close
+    // internal mutex, but seal and compact are pure store file I/O: no
+    // path from them ever touches the queue, so the cycle cannot close
     // at runtime.
     st.store
-        .seal_and_compact()
+        .seal()
+        .and_then(|_| st.store.compact())
         .map_err(|e| format!("compaction failed: {e}"))?;
-    let snapshot = st.store.snapshot();
+    let stats = st.store.stats();
     drop(st);
-    update_store_gauges(&shared.metrics, &snapshot);
+    update_store_gauges(&shared.metrics, &stats);
     Ok(true)
 }
 

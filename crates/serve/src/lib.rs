@@ -48,6 +48,7 @@ pub use control::{ControlConfig, ControlError};
 
 use aiio::AiioService;
 use aiio_darshan::JobLog;
+use aiio_shard::{AnyStats, AnyStore};
 use http::{Request, Response};
 use metrics::{Endpoint, Metrics};
 use pool::{Job, JobError, ModelSlot, Pool};
@@ -92,17 +93,15 @@ pub struct ServeConfig {
     pub engine_threads: usize,
     /// Directory of a job-log store to attach. When set, `POST /ingest`
     /// appends diagnosed jobs there and `/metrics` exposes store depth,
-    /// segment counters and the drift signal. A directory holding an
-    /// `aiio-shard` fleet manifest is opened as a [`ShardedStore`]
-    /// automatically; ingest then routes each row to its owning shard.
-    ///
-    /// [`ShardedStore`]: aiio_shard::ShardedStore
+    /// segment counters and the drift signal. The directory is opened
+    /// through [`AnyStore`], so a plain store and a sharded fleet serve
+    /// alike; on a fleet, ingest routes each row to its owning shard.
     pub store_dir: Option<std::path::PathBuf>,
     /// Shard count used when `store_dir` does not hold a store yet:
     /// `0` creates a plain single `aiio-store`; `n > 0` initialises a
     /// sharded fleet of `n` shards. An existing store's layout always
-    /// wins — the manifest (or its absence) decides, and this knob only
-    /// seeds brand-new directories.
+    /// wins; this knob only seeds brand-new directories
+    /// ([`AnyStore::open`]).
     pub shards: usize,
     /// Freshly ingested rows the drift detector is evaluated over (a
     /// sliding window of transformed feature vectors).
@@ -138,168 +137,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// The store behind `POST /ingest`: either one plain `aiio-store` or a
-/// sharded fleet. The variants share the append/sync/stats surface the
-/// ingest path needs, so the handler is layout-blind; the fleet routes
-/// each row to its owning shard internally.
-enum AttachedStore {
-    Single(Box<aiio_store::Store>),
-    Sharded(Box<aiio_shard::ShardedStore>),
-}
-
-/// Point-in-time gauges of an attached store, uniform across layouts.
-/// `shards` is empty for a single store.
-struct StoreSnapshot {
-    rows: u64,
-    segments: u64,
-    wal_rows: u64,
-    /// Per shard: (serving rows, replication lag, serving-from-replica).
-    shards: Vec<(u64, u64, bool)>,
-}
-
-impl AttachedStore {
-    /// Open (or initialise) the store at `dir`. An existing fleet
-    /// manifest means sharded regardless of `shards`; otherwise `shards`
-    /// decides what a fresh directory becomes (0 = plain store).
-    fn open(dir: &std::path::Path, shards: usize) -> Result<AttachedStore, aiio_store::StoreError> {
-        let sharded_layout = dir.join(aiio_shard::manifest::MANIFEST_NAME).exists();
-        if sharded_layout || shards > 0 {
-            let fleet =
-                aiio_shard::ShardedStore::open_with(dir, shards.max(1), Default::default())?;
-            Ok(AttachedStore::Sharded(Box::new(fleet)))
-        } else {
-            Ok(AttachedStore::Single(Box::new(aiio_store::Store::open(
-                dir,
-            )?)))
-        }
-    }
-
-    /// Append `logs` and make them durable, in one critical section.
-    fn append_and_sync(&mut self, logs: &[JobLog]) -> Result<(), aiio_store::StoreError> {
-        match self {
-            AttachedStore::Single(store) => {
-                store.append_batch(logs)?;
-                store.sync()
-            }
-            AttachedStore::Sharded(fleet) => {
-                fleet.append_batch(logs)?;
-                fleet.sync()
-            }
-        }
-    }
-
-    fn snapshot(&self) -> StoreSnapshot {
-        match self {
-            AttachedStore::Single(store) => {
-                let s = store.stats();
-                StoreSnapshot {
-                    rows: s.total_rows as u64,
-                    segments: s.segments as u64,
-                    wal_rows: s.wal_rows as u64,
-                    shards: Vec::new(),
-                }
-            }
-            AttachedStore::Sharded(fleet) => {
-                let s = fleet.stats();
-                StoreSnapshot {
-                    rows: s.total_rows,
-                    segments: s.per_shard.iter().map(|p| p.store.segments as u64).sum(),
-                    wal_rows: s.per_shard.iter().map(|p| p.store.wal_rows as u64).sum(),
-                    shards: s
-                        .per_shard
-                        .iter()
-                        .map(|p| {
-                            (
-                                p.serving_rows,
-                                p.replication_lag,
-                                p.role == aiio_shard::ShardRole::Replica.as_str(),
-                            )
-                        })
-                        .collect(),
-                }
-            }
-        }
-    }
-
-    /// Fleet width (0 for a single store) — sizes the per-shard gauges.
-    fn shard_count(&self) -> usize {
-        match self {
-            AttachedStore::Single(_) => 0,
-            AttachedStore::Sharded(fleet) => fleet.shards(),
-        }
-    }
-
-    /// The store's shape as one [`aiio_store::StoreStats`] regardless of
-    /// layout, so threshold policies ([`aiio_store::CompactionTrigger`])
-    /// apply uniformly.
-    fn combined_stats(&self) -> aiio_store::StoreStats {
-        match self {
-            AttachedStore::Single(store) => store.stats(),
-            AttachedStore::Sharded(fleet) => fleet.stats().combined_store(),
-        }
-    }
-
-    /// Seal the WAL tail into segments, then merge undersized segments.
-    fn seal_and_compact(&mut self) -> Result<(), aiio_store::StoreError> {
-        match self {
-            AttachedStore::Single(store) => {
-                store.seal()?;
-                store.compact()?;
-            }
-            AttachedStore::Sharded(fleet) => {
-                fleet.seal()?;
-                fleet.compact()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Every row in insertion order, for retraining.
-    fn read_all(&self) -> Result<aiio_darshan::LogDatabase, aiio_store::StoreError> {
-        match self {
-            AttachedStore::Single(store) => store.read_all(),
-            AttachedStore::Sharded(fleet) => fleet.read_all(),
-        }
-    }
-
-    /// An owned snapshot of the published layout for lock-free scanning.
-    /// Cheap: segment metadata and the WAL tail rows are copied, segment
-    /// bytes are not — those are read (through the block cache) after
-    /// the ingest lock is dropped.
-    fn read_view(&self) -> ReadView {
-        match self {
-            AttachedStore::Single(store) => ReadView::Single(store.read_view()),
-            AttachedStore::Sharded(fleet) => ReadView::Fleet(fleet.read_view()),
-        }
-    }
-}
-
-/// A point-in-time scan surface over either store layout, uniform for the
-/// `/query` handler. Scans see exactly the rows published at snapshot
-/// time, in global insertion order, no matter what ingestion does next.
-enum ReadView {
-    Single(aiio_store::StoreReadView),
-    Fleet(aiio_shard::FleetReadView),
-}
-
-impl ReadView {
-    fn scan_filtered(
-        &self,
-        range: &aiio_store::CounterRange,
-        sink: &mut dyn FnMut(&JobLog),
-    ) -> Result<aiio_store::ScanSummary, aiio_store::StoreError> {
-        match self {
-            ReadView::Single(view) => view.scan_filtered(range, sink),
-            ReadView::Fleet(view) => view.scan_filtered(range, sink),
-        }
-    }
-}
-
 /// The attached store plus the sliding window of freshly ingested feature
 /// rows the drift detector scores. One mutex: ingestion is disk-bound and
 /// ordered anyway (appends must hit the WAL in sequence).
 struct IngestState {
-    store: AttachedStore,
+    store: AnyStore,
     tail: VecDeque<Vec<f64>>,
 }
 
@@ -382,12 +224,12 @@ impl Server {
         // per-shard gauge vector is sized from it at construction so the
         // ingest hot path stays lock-free.
         let attached = match &config.store_dir {
-            Some(dir) => Some(AttachedStore::open(dir, config.shards).map_err(|e| e.into_io())?),
+            Some(dir) => Some(AnyStore::open(dir, config.shards).map_err(|e| e.into_io())?),
             None => None,
         };
         let metrics = Arc::new(Metrics::with_shards(
             config.workers,
-            attached.as_ref().map_or(0, AttachedStore::shard_count),
+            attached.as_ref().map_or(0, |s| s.stats().shards.len()),
         ));
         if attached.is_some() {
             // Expose the decoded-segment block cache's counters next to
@@ -404,7 +246,7 @@ impl Server {
                 // the stat reads. The Release store on `store_attached`
                 // pairs with the Acquire load in metrics rendering: a
                 // scraper that sees the flag also sees these gauges.
-                update_store_gauges(&metrics, &store.snapshot());
+                update_store_gauges(&metrics, &store.stats());
                 metrics.store_attached.store(1, Ordering::Release);
                 Some(Mutex::new(IngestState {
                     store,
@@ -616,6 +458,7 @@ fn busy_response(shared: &Shared, err: PushError) -> Response {
 fn job_error_response(err: &JobError) -> Response {
     match err {
         JobError::EmptyZoo => Response::error(422, "model zoo has no usable models"),
+        JobError::InvalidLog(e) => Response::error(422, &format!("invalid job log: {e}")),
         JobError::WorkerPanicked => {
             Response::error(500, "diagnosis panicked (isolated; server still serving)")
         }
@@ -738,38 +581,26 @@ fn diagnose_batch(req: &Request, shared: &Arc<Shared>) -> Response {
     Response::json(200, body)
 }
 
-fn update_store_gauges(metrics: &Metrics, snapshot: &StoreSnapshot) {
-    metrics.store_rows.store(snapshot.rows, Ordering::Relaxed);
+fn update_store_gauges(metrics: &Metrics, stats: &AnyStats) {
+    let store = &stats.store;
+    metrics
+        .store_rows
+        .store(store.total_rows as u64, Ordering::Relaxed);
     metrics
         .store_segments
-        .store(snapshot.segments, Ordering::Relaxed);
+        .store(store.segments as u64, Ordering::Relaxed);
     metrics
         .store_wal_rows
-        .store(snapshot.wal_rows, Ordering::Relaxed);
-    for (s, &(rows, lag, from_replica)) in snapshot.shards.iter().enumerate() {
-        if let Some(g) = metrics.shard_gauges(s) {
-            g.rows.store(rows, Ordering::Relaxed);
-            g.replication_lag.store(lag, Ordering::Relaxed);
+        .store(store.wal_rows as u64, Ordering::Relaxed);
+    for shard in &stats.shards {
+        if let Some(g) = metrics.shard_gauges(shard.shard) {
+            g.rows.store(shard.serving_rows, Ordering::Relaxed);
+            g.replication_lag
+                .store(shard.replication_lag, Ordering::Relaxed);
+            let from_replica = shard.role == aiio_shard::ShardRole::Replica.as_str();
             g.serving_replica
                 .store(u64::from(from_replica), Ordering::Relaxed);
         }
-    }
-}
-
-/// Snapshot the attached store's on-disk layout for the replication
-/// reply builders. Cheap (paths only); the file reads happen after the
-/// ingest lock is released, against bytes the durability contract has
-/// already published.
-fn repl_source_of(store: &AttachedStore) -> aiio_replnet::ReplSource {
-    match store {
-        AttachedStore::Single(s) => aiio_replnet::ReplSource::Single {
-            dir: s.root().to_path_buf(),
-        },
-        AttachedStore::Sharded(fleet) => aiio_replnet::ReplSource::Fleet {
-            epoch: fleet.manifest().epoch,
-            serving_dirs: fleet.serving_dirs(),
-            journal: fleet.journal_path(),
-        },
     }
 }
 
@@ -788,7 +619,7 @@ fn repl_get(req: &Request, shared: &Arc<Shared>) -> Response {
         // xtask-allow: AIIO-R002 — only assembles the source's paths and
         // row counts from the guarded snapshot; the byte serving below
         // runs on files, after the guard is gone.
-        repl_source_of(&state.store)
+        aiio_replnet::ReplSource::of(&state.store)
     };
     aiio_replnet::repl_reply(&src, req.path.trim_start_matches("/repl/"))
 }
@@ -903,8 +734,19 @@ fn ingest(req: &Request, shared: &Arc<Shared>) -> Response {
     // Appending outside the lock would let two ingests interleave their
     // blocks and corrupt ordinal assignment; durability (sync) must land
     // before the tail/stats below claim the rows exist.
-    if let Err(e) = state.store.append_and_sync(&logs) {
-        return Response::error(500, &format!("store append failed: {e}"));
+    if let Err(e) = state
+        .store
+        .append_batch(&logs)
+        .and_then(|()| state.store.sync())
+    {
+        // A malformed row rejects the whole batch before any byte is
+        // written: the client's fault, and nothing to recover.
+        let status = if matches!(e, aiio_store::StoreError::Invalid(_)) {
+            422
+        } else {
+            500
+        };
+        return Response::error(status, &format!("store append failed: {e}"));
     }
     let window = shared.config.drift_window.max(1);
     for row in feature_rows {
@@ -915,7 +757,7 @@ fn ingest(req: &Request, shared: &Arc<Shared>) -> Response {
     }
     let drift_rows: Option<Vec<Vec<f64>>> =
         (state.tail.len() >= DRIFT_MIN_ROWS).then(|| state.tail.iter().cloned().collect());
-    let snapshot = state.store.snapshot();
+    let stats = state.store.stats();
     drop(state);
     // PSI scoring and response assembly run lock-free on the copied tail.
     let drift = service
@@ -925,7 +767,7 @@ fn ingest(req: &Request, shared: &Arc<Shared>) -> Response {
         .metrics
         .ingested_total
         .fetch_add(logs.len() as u64, Ordering::Relaxed);
-    update_store_gauges(&shared.metrics, &snapshot);
+    update_store_gauges(&shared.metrics, &stats);
     if let Some(psi) = drift {
         let micro = (psi.max(0.0) * 1e6).round();
         shared
@@ -942,10 +784,10 @@ fn ingest(req: &Request, shared: &Arc<Shared>) -> Response {
         format!(
             "{{\"ingested\":{},\"store_rows\":{},\"segments\":{},\"wal_rows\":{},\"shards\":{},\"drift_max_psi\":{drift_field}}}",
             logs.len(),
-            snapshot.rows,
-            snapshot.segments,
-            snapshot.wal_rows,
-            snapshot.shards.len(),
+            stats.store.total_rows,
+            stats.store.segments,
+            stats.store.wal_rows,
+            stats.shards.len(),
         ),
     )
 }

@@ -22,10 +22,12 @@ use std::sync::{Arc, RwLock};
 pub type ModelSlot = RwLock<Arc<AiioService>>;
 
 /// Why one job failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobError {
     /// The (corrupt or hand-rolled) zoo has no usable models → 422.
     EmptyZoo,
+    /// The log fails [`JobLog::validate`] → 422.
+    InvalidLog(aiio_darshan::InvalidJobLog),
     /// The diagnosis panicked; the panic was isolated to this job → 500.
     WorkerPanicked,
 }
@@ -112,6 +114,7 @@ fn worker_loop(worker_id: usize, queue: &Bounded<Job>, slot: &ModelSlot, metrics
                 Ok(report)
             }
             Ok(Err(DiagnoseError::EmptyZoo)) => Err(JobError::EmptyZoo),
+            Ok(Err(DiagnoseError::InvalidLog(e))) => Err(JobError::InvalidLog(e)),
             Err(_panic) => {
                 metrics.worker_panics_total.fetch_add(1, Ordering::Relaxed);
                 Err(JobError::WorkerPanicked)

@@ -372,6 +372,70 @@ fn sharded_ingest_routes_rows_and_exposes_per_shard_gauges() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `job_json(seed)` with its counter vector replaced by `values`.
+fn with_counter_values(seed: u64, values: &str) -> String {
+    let json = job_json(seed);
+    let start = json.find("\"values\":[").unwrap() + "\"values\":[".len();
+    let end = start + json[start..].find(']').unwrap();
+    format!("{}{values}{}", &json[..start], &json[end..])
+}
+
+#[test]
+fn malformed_logs_answer_422_and_never_poison_the_store() {
+    let short = with_counter_values(3, "1,2,3");
+    let mut negative: aiio_darshan::JobLog = serde_json::from_str(&job_json(4)).unwrap();
+    negative
+        .counters
+        .set(aiio_darshan::CounterId::PosixReads, -1.0);
+    let negative = serde_json::to_string(&negative).unwrap();
+    // JSON has no infinity, but an overflowing literal parses to one.
+    let infinite = with_counter_values(
+        5,
+        &format!("1e999{}", ",0".repeat(aiio_darshan::N_COUNTERS - 1)),
+    );
+    for shards in [0usize, 3] {
+        let dir = std::env::temp_dir().join(format!(
+            "aiio_serve_malformed_{shards}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Running::start(
+            service(),
+            ServeConfig {
+                store_dir: Some(dir.clone()),
+                shards,
+                ..ServeConfig::default()
+            },
+        );
+        for bad in [&short, &negative, &infinite] {
+            let r = s.rpc("POST", "/ingest", Some(bad));
+            assert_eq!(r.status, 422, "{}", r.body);
+            let r = s.rpc("POST", "/diagnose", Some(bad));
+            assert_eq!(r.status, 422, "{}", r.body);
+            let batch = format!("[{},{bad}]", job_json(6));
+            assert_eq!(s.rpc("POST", "/diagnose/batch", Some(&batch)).status, 422);
+            // One bad row rejects its whole ingest batch.
+            assert_eq!(s.rpc("POST", "/ingest", Some(&batch)).status, 422);
+        }
+        let r = s.rpc("POST", "/ingest", Some(&job_json(1)));
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.contains("\"store_rows\":1,"), "{}", r.body);
+        let metrics = s.rpc("GET", "/metrics", None);
+        assert_eq!(metric_value(&metrics.body, "aiio_worker_panics_total"), 0);
+        s.stop();
+
+        // Recovery finds nothing to drop, and the acknowledged row is
+        // the only row.
+        let store = aiio_shard::AnyStore::open(&dir, 0).unwrap();
+        assert!(store.recovery().is_clean(), "{:?}", store.recovery());
+        let rows = store.read_all().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(serde_json::to_string(&rows.jobs()[0]).unwrap(), job_json(1));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn reload_refuses_garbage_and_empty_paths() {
     let s = Running::start(service(), ServeConfig::default());

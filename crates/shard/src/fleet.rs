@@ -36,14 +36,15 @@ use aiio_darshan::{JobLog, LogDatabase, StoreBackend};
 use aiio_store::schema::counter_column;
 use aiio_store::segment::SegmentMeta;
 use aiio_store::{
-    segment, CompactReport, CounterRange, RecoveryReport, Result, ScanSummary, SegmentCache, Store,
-    StoreConfig, StoreError, StoreStats,
+    read_segment_with, CompactReport, CounterRange, RecoveryReport, Result, ScanSummary,
+    SegmentCache, Store, StoreConfig, StoreError, StoreStats,
 };
 use serde::Serialize;
 
+use crate::any::Layout;
 use crate::journal::{self, JournalWriter, JOURNAL_NAME};
 use crate::manifest::{self, Manifest};
-use crate::replica::{self, ShardSource as _};
+use crate::replica;
 
 /// Suffix of the staging directory an orphan repair rebuilds through.
 pub const REPAIR_SUFFIX: &str = ".repair";
@@ -214,15 +215,6 @@ fn repair_path(dir: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Does `dir` hold a plain (unsharded) `aiio-store` layout — a WAL or
-/// sealed segments at the root? Seeding a fleet manifest beside one
-/// would shadow its rows: fleet scans would never see them, and
-/// `store-stats` would start rejecting the directory as sharded.
-fn plain_store_layout(dir: &Path) -> Result<bool> {
-    Ok(dir.join(aiio_store::wal::WAL_NAME).exists()
-        || !replica::DirSource(dir).list_segments()?.is_empty())
-}
-
 /// Finish a repair interrupted by a crash: if the real directory is gone
 /// but its staging sibling exists, the staging copy is complete (it is
 /// only ever renamed after the original is removed) — adopt it. If both
@@ -259,7 +251,9 @@ impl ShardedStore {
         let m = match manifest::load(&root)? {
             Some(m) => m,
             None => {
-                if plain_store_layout(&root)? {
+                // Seeding a manifest beside a plain store would shadow its
+                // rows: fleet scans would never see them.
+                if Layout::of(&root)? == Some(Layout::Plain) {
                     return Err(StoreError::Format {
                         path: root,
                         detail: "directory already holds a plain (unsharded) aiio-store; \
@@ -440,10 +434,13 @@ impl ShardedStore {
     /// journal frame records the arrival order. A crash between the two
     /// leaves orphan rows that the next open detects and the next append
     /// repairs — never phantom journal entries pointing at missing rows.
+    /// The whole batch is validated before any shard sees a row, so a
+    /// rejected batch ([`StoreError::Invalid`]) writes nothing anywhere.
     pub fn append_batch(&mut self, jobs: &[JobLog]) -> Result<()> {
         if jobs.is_empty() {
             return Ok(());
         }
+        aiio_store::validate_batch(jobs)?;
         self.repair_orphans()?;
         let routed = crate::router::route_batch(jobs, self.states.len());
         let ids = routed.assignments;
@@ -506,8 +503,8 @@ impl ShardedStore {
         Ok(trimmed)
     }
 
-    /// Seal every shard's WAL tail into columnar segments. Returns total
-    /// rows sealed.
+    /// Seal every shard's WAL tail into columnar segments. Returns
+    /// segments created.
     pub fn seal(&mut self) -> Result<usize> {
         let mut sealed = 0;
         for st in &mut self.states {
@@ -752,13 +749,6 @@ impl StoreBackend for ShardedStore {
 /// One shard's readable parts: segment metadata, WAL tail, cache handle.
 type ShardParts<'a> = (&'a [SegmentMeta], &'a [JobLog], Option<&'a SegmentCache>);
 
-fn read_segment_via(cache: Option<&SegmentCache>, meta: &SegmentMeta) -> Result<Arc<Vec<JobLog>>> {
-    match cache {
-        Some(cache) => cache.read_through(meta),
-        None => segment::read_jobs(&meta.path).map(Arc::new),
-    }
-}
-
 /// The journal-driven scatter-gather merge over explicit shard parts —
 /// shared by [`ShardedStore::merge_scan`] (borrowing live shards) and
 /// [`FleetReadView::merge_scan`] (owning a snapshot). Output order is
@@ -776,7 +766,7 @@ fn merge_scan_parts(
     // change the output.
     let prefetched: Vec<Option<Result<Arc<Vec<JobLog>>>>> = if filter.is_none() {
         aiio_par::map(shards, |&(segments, _, cache)| {
-            segments.first().map(|meta| read_segment_via(cache, meta))
+            segments.first().map(|meta| read_segment_with(cache, meta))
         })
     } else {
         shards.iter().map(|_| None).collect()
@@ -945,7 +935,7 @@ impl<'a> ShardCursor<'a> {
                 }
             }
             summary.segments_scanned += 1;
-            self.window = Window::Rows(read_segment_via(self.cache, meta)?);
+            self.window = Window::Rows(read_segment_with(self.cache, meta)?);
             return Ok(());
         }
         if !self.tail_taken {
@@ -1038,7 +1028,7 @@ mod tests {
         let msg = err.err().unwrap().to_string();
         assert!(msg.contains("unsharded"), "unexpected error: {msg}");
         assert!(
-            !root.join(crate::manifest::MANIFEST_NAME).exists(),
+            Layout::of(&root).unwrap() == Some(Layout::Plain),
             "no manifest may be published beside the plain store"
         );
 

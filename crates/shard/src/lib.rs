@@ -29,6 +29,11 @@
 //!    resume, and the result is deterministic — the same rows always
 //!    produce the same fleet.
 //!
+//! Code that serves or maintains a job-log directory without caring how
+//! it is laid out opens it through [`AnyStore`] ([`any`]): a plain
+//! `aiio-store` and a fleet behave alike behind it, and [`Layout::of`]
+//! is the only code that reads which one a directory holds.
+//!
 //! ```no_run
 //! use aiio_shard::ShardedStore;
 //! use aiio_darshan::FeaturePipeline;
@@ -42,6 +47,7 @@
 //! # Ok(()) }
 //! ```
 
+pub mod any;
 pub mod fleet;
 pub mod hash;
 pub mod journal;
@@ -50,6 +56,7 @@ pub mod rebalance;
 pub mod replica;
 pub mod router;
 
+pub use any::{AnyReadView, AnyStats, AnyStore, Layout};
 pub use fleet::{
     FleetReadView, FleetRecovery, FleetStats, ReplicationReport, ShardRole, ShardStat, ShardedStore,
 };

@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::hash::MAX_SHARDS;
 
-/// Manifest file name at the fleet root.
-pub const MANIFEST_NAME: &str = "manifest.json";
+/// Manifest file name at the fleet root. Its presence is what makes a
+/// directory a fleet ([`crate::Layout::of`]).
+pub(crate) const MANIFEST_NAME: &str = "manifest.json";
 
 /// Temporary file the manifest is published through.
 pub const MANIFEST_TMP_NAME: &str = "manifest.tmp";

@@ -31,6 +31,10 @@ pub enum StoreError {
         /// Why it is unreadable.
         detail: String,
     },
+    /// A row refused before any byte was written: it fails
+    /// [`JobLog::validate`](aiio_darshan::JobLog::validate). The batch it
+    /// came in is rejected whole.
+    Invalid(aiio_darshan::InvalidJobLog),
 }
 
 impl fmt::Display for StoreError {
@@ -49,6 +53,7 @@ impl fmt::Display for StoreError {
             StoreError::Format { path, detail } => {
                 write!(f, "unreadable store file {}: {detail}", path.display())
             }
+            StoreError::Invalid(e) => write!(f, "invalid job log: {e}"),
         }
     }
 }
@@ -57,6 +62,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
+            StoreError::Invalid(e) => Some(e),
             _ => None,
         }
     }

@@ -33,6 +33,6 @@ pub use durable::durable_replace;
 pub use error::{Result, StoreError};
 pub use segment::{SegmentMeta, ZoneEntry};
 pub use store::{
-    CompactReport, CompactionTrigger, CounterRange, RangeError, RecoveryReport, ScanSummary, Store,
-    StoreConfig, StoreReadView, StoreStats,
+    read_segment_with, validate_batch, CompactReport, CompactionTrigger, CounterRange, RangeError,
+    RecoveryReport, ScanSummary, Store, StoreConfig, StoreReadView, StoreStats,
 };

@@ -242,7 +242,8 @@ pub struct ScanSummary {
 
 /// Decode one segment, through `cache` when present, raw otherwise.
 /// Either way the result is the fully CRC-verified decode of the file.
-pub(crate) fn read_segment_with(
+/// Layered stores (the sharded fleet's merge scan) read through this too.
+pub fn read_segment_with(
     cache: Option<&SegmentCache>,
     meta: &SegmentMeta,
 ) -> Result<Arc<Vec<JobLog>>> {
@@ -250,6 +251,13 @@ pub(crate) fn read_segment_with(
         Some(cache) => cache.read_through(meta),
         None => segment::read_jobs(&meta.path).map(Arc::new),
     }
+}
+
+/// Check every row of a batch before any of it is written.
+pub fn validate_batch(jobs: &[JobLog]) -> Result<()> {
+    jobs.iter()
+        .try_for_each(JobLog::validate)
+        .map_err(StoreError::Invalid)
 }
 
 /// The zone-mapped filtered scan over explicit parts — shared by
@@ -583,7 +591,11 @@ impl Store {
 
     /// Append a batch of jobs: WAL first (one CRC frame per
     /// `wal_block_rows` chunk), then seal full segments as the tail fills.
+    /// Every row is checked with [`JobLog::validate`] first; one bad row
+    /// rejects the whole batch with [`StoreError::Invalid`] and writes
+    /// nothing, so a malformed row can never poison the WAL.
     pub fn append_batch(&mut self, jobs: &[JobLog]) -> Result<()> {
+        validate_batch(jobs)?;
         for chunk in jobs.chunks(self.config.wal_block_rows.max(1)) {
             let base = self.sealed_watermark + self.tail.len() as u64;
             self.wal.append_block(base, chunk)?;

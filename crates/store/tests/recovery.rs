@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use aiio_darshan::{CounterId, JobLog};
-use aiio_store::{CounterRange, Store, StoreConfig};
+use aiio_store::{CounterRange, Store, StoreConfig, StoreError};
 use aiio_testkit::{flip_bit, truncate_file};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -385,4 +385,77 @@ fn duplicated_wal_frames_replay_once() {
     assert_eq!(report.wal_rows_recovered, 8);
     assert_eq!(read_rows(&store), all, "each row exactly once, in order");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A row `JobLog::validate` must refuse, of a seeded kind: a short
+/// counter vector (only reachable through serde), or a NaN, infinite or
+/// negative counter or time value.
+fn adversarial(i: u64, rng: &mut ChaCha8Rng) -> JobLog {
+    let mut j = job(i, rng);
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][rng.gen_range(0usize..4)];
+    match rng.gen_range(0u32..3) {
+        0 => {
+            let mut json = serde_json::to_string(&j).unwrap();
+            let start = json.find("\"values\":[").unwrap() + "\"values\":[".len();
+            let end = start + json[start..].find(']').unwrap();
+            json.replace_range(start..end, "1,2,3");
+            serde_json::from_str(&json).unwrap()
+        }
+        1 => {
+            let c = CounterId::ALL[rng.gen_range(0..CounterId::ALL.len())];
+            j.counters.set(c, bad);
+            j
+        }
+        _ => {
+            j.time.slowest_rank_seconds = bad;
+            j
+        }
+    }
+}
+
+#[test]
+fn adversarial_rows_reject_their_whole_batch_and_never_reach_disk() {
+    for seed in 0..6u64 {
+        let dir = tmpdir(&format!("adversarial_{seed}"));
+        let mut rng = rng(seed);
+        let mut store = Store::open_with(&dir, cfg(16, 4)).unwrap();
+        let mut accepted = Vec::new();
+        let mut next_id = 0u64;
+        for _ in 0..40 {
+            let n = rng.gen_range(1usize..9);
+            let mut batch: Vec<JobLog> =
+                (0..n).map(|k| job(next_id + k as u64, &mut rng)).collect();
+            let poisoned = rng.gen_bool(0.4);
+            if poisoned {
+                let at = rng.gen_range(0..n);
+                batch[at] = adversarial(next_id + at as u64, &mut rng);
+            }
+            let before = store.stats();
+            match store.append_batch(&batch) {
+                Err(StoreError::Invalid(_)) if poisoned => {
+                    let after = store.stats();
+                    assert_eq!(before.total_rows, after.total_rows, "seed {seed}");
+                    assert_eq!(before.wal_bytes, after.wal_bytes, "seed {seed}");
+                }
+                Ok(()) if !poisoned => {
+                    accepted.extend(batch);
+                    next_id += n as u64;
+                }
+                other => panic!("seed {seed}: poisoned={poisoned} got {other:?}"),
+            }
+            if rng.gen_bool(0.1) {
+                store.seal().unwrap();
+            }
+        }
+        store.sync().unwrap();
+        drop(store);
+        let store = Store::open_with(&dir, cfg(16, 4)).unwrap();
+        assert!(
+            store.recovery_report().is_clean(),
+            "seed {seed}: {:?}",
+            store.recovery_report()
+        );
+        assert_eq!(read_rows(&store), accepted, "seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
