@@ -94,6 +94,7 @@ impl Predictor for AnyModel {
 mod tests {
     use super::*;
     use aiio_gbdt::GbdtConfig;
+    use aiio_nn::{MlpConfig, TabNetConfig};
 
     #[test]
     fn kinds_have_unique_paper_names() {
@@ -117,5 +118,31 @@ mod tests {
         assert_eq!(p1, p2);
         assert!((p1 - 50.0).abs() < 10.0);
         assert!(m.as_gbdt().is_some());
+    }
+
+    #[test]
+    fn every_kind_predicts_an_empty_batch_as_empty() {
+        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let y: Vec<f64> = x.iter().map(|r| r[0] - r[1]).collect();
+        let gbdt = GbdtConfig {
+            n_rounds: 5,
+            ..GbdtConfig::xgboost_like()
+        };
+        let mlp = MlpConfig {
+            max_epochs: 2,
+            ..MlpConfig::small()
+        };
+        let tabnet = TabNetConfig {
+            max_epochs: 2,
+            ..TabNetConfig::small()
+        };
+        let models = [
+            AnyModel::Gbdt(Booster::fit(&gbdt, &x, &y, None).unwrap()),
+            AnyModel::Mlp(Mlp::fit(&mlp, &x, &y, None).unwrap()),
+            AnyModel::TabNet(TabNet::fit(&tabnet, &x, &y, None).unwrap()),
+        ];
+        for m in &models {
+            assert_eq!(Predictor::predict_batch(m, &[]), Vec::<f64>::new());
+        }
     }
 }

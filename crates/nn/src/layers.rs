@@ -1,8 +1,11 @@
 //! Differentiable layers over batch-major matrices (`batch x features`).
 //!
-//! Each layer owns its parameters, its parameter gradients, and whatever
-//! forward-pass caches its backward pass needs. `forward` is called with
-//! `train` true/false to switch batch-norm statistics and dropout masks.
+//! Each layer has two passes. `forward(&mut self)` is the training pass:
+//! batch-norm uses batch statistics, dropout draws a mask, and the layer
+//! caches whatever its `backward` needs. `eval(&self)` is the inference
+//! pass: running statistics, no dropout, no caches, and in place wherever
+//! the layer keeps its input's shape. Each layer also owns its parameters
+//! and their gradients.
 
 use crate::error::DimensionError;
 use aiio_linalg::func::{relu, relu_grad};
@@ -39,10 +42,14 @@ impl Dense {
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if train {
-            self.x_cache = Some(x.clone());
-        }
+    /// Training pass: caches `x` for [`Dense::backward`].
+    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        self.x_cache = Some(x.clone());
+        self.eval(x)
+    }
+
+    /// Inference pass: `x W + b`.
+    pub fn eval(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w);
         for i in 0..y.rows() {
             for (v, b) in y.row_mut(i).iter_mut().zip(&self.b) {
@@ -50,6 +57,11 @@ impl Dense {
             }
         }
         y
+    }
+
+    /// Drop the training cache.
+    pub(crate) fn clear_cache(&mut self) {
+        self.x_cache = None;
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, DimensionError> {
@@ -77,11 +89,20 @@ pub struct ReLu {
 }
 
 impl ReLu {
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if train {
-            self.x_cache = Some(x.clone());
-        }
+    /// Training pass: caches `x` for [`ReLu::backward`].
+    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        self.x_cache = Some(x.clone());
         x.map(relu)
+    }
+
+    /// Inference pass, in place.
+    pub fn eval(&self, x: &mut Matrix) {
+        x.map_inplace(relu);
+    }
+
+    /// Drop the training cache.
+    pub(crate) fn clear_cache(&mut self) {
+        self.x_cache = None;
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, DimensionError> {
@@ -131,25 +152,31 @@ impl BatchNorm {
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let n = x.rows().max(1) as f64;
-        let (mean, var) = if train && x.rows() > 1 {
-            let mean = x.col_means();
-            let var = x.col_variances();
-            for ((rm, rv), (m, v)) in self
-                .running_mean
-                .iter_mut()
-                .zip(self.running_var.iter_mut())
-                .zip(mean.iter().zip(&var))
-            {
-                *rm = self.momentum * *rm + (1.0 - self.momentum) * m;
-                *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
-            }
-            (mean, var)
-        } else {
-            (self.running_mean.clone(), self.running_var.clone())
-        };
-        let std_inv: Vec<f64> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+    /// Training pass: normalises with the batch statistics, folds them
+    /// into the running statistics and caches what
+    /// [`BatchNorm::backward`] needs.
+    ///
+    /// A one-row batch has no variance, so it is normalised with the
+    /// running statistics instead and leaves the cache (and the running
+    /// statistics) as they were.
+    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        if x.rows() <= 1 {
+            let mut y = x.clone();
+            self.eval(&mut y);
+            return y;
+        }
+        let mean = x.col_means();
+        let var = x.col_variances();
+        for ((rm, rv), (m, v)) in self
+            .running_mean
+            .iter_mut()
+            .zip(self.running_var.iter_mut())
+            .zip(mean.iter().zip(&var))
+        {
+            *rm = self.momentum * *rm + (1.0 - self.momentum) * m;
+            *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
+        }
+        let std_inv = self.std_inv(&var);
         let mut x_hat = x.clone();
         for i in 0..x_hat.rows() {
             for ((v, m), s) in x_hat.row_mut(i).iter_mut().zip(&mean).zip(&std_inv) {
@@ -162,11 +189,31 @@ impl BatchNorm {
                 *v = *v * g + b;
             }
         }
-        if train && x.rows() > 1 {
-            self.cache = Some(BnCache { x_hat, std_inv });
-        }
-        let _ = n;
+        self.cache = Some(BnCache { x_hat, std_inv });
         y
+    }
+
+    /// Inference pass, in place: the running-statistics affine map
+    /// `((x - mean) * std_inv) * gamma + beta`, in the training pass's
+    /// operation order.
+    pub fn eval(&self, x: &mut Matrix) {
+        let std_inv = self.std_inv(&self.running_var);
+        for i in 0..x.rows() {
+            let stats = self.running_mean.iter().zip(&std_inv);
+            let affine = self.gamma.iter().zip(&self.beta);
+            for ((v, (m, s)), (g, b)) in x.row_mut(i).iter_mut().zip(stats).zip(affine) {
+                *v = (*v - m) * s * g + b;
+            }
+        }
+    }
+
+    fn std_inv(&self, var: &[f64]) -> Vec<f64> {
+        var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect()
+    }
+
+    /// Drop the training cache.
+    pub(crate) fn clear_cache(&mut self) {
+        self.cache = None;
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, DimensionError> {
@@ -216,9 +263,11 @@ impl Dropout {
         Dropout { p, mask: None }
     }
 
-    pub fn forward(&mut self, x: &Matrix, train: bool, rng: &mut impl Rng) -> Matrix {
+    /// Training pass: draws and caches a keep mask, scaling kept
+    /// activations by `1 / (1 - p)`.
+    pub fn forward(&mut self, x: &Matrix, rng: &mut impl Rng) -> Matrix {
         // xtask-allow: AIIO-F001 — p = 0.0 is an exact config sentinel (dropout disabled)
-        if !train || self.p == 0.0 {
+        if self.p == 0.0 {
             self.mask = None;
             return x.clone();
         }
@@ -233,6 +282,15 @@ impl Dropout {
         let y = x.zip_map(&mask, |a, m| a * m);
         self.mask = Some(mask);
         y
+    }
+
+    /// Inference pass: inverted dropout already scaled the training
+    /// activations, so inference is the identity.
+    pub fn eval(&self, _x: &mut Matrix) {}
+
+    /// Drop the training cache.
+    pub(crate) fn clear_cache(&mut self) {
+        self.mask = None;
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
@@ -258,7 +316,7 @@ mod tests {
         let mut d = Dense::new(2, 1, &mut rng());
         d.w = Matrix::from_rows(&[vec![2.0], vec![3.0]]);
         d.b = vec![1.0];
-        let y = d.forward(&Matrix::from_rows(&[vec![1.0, 1.0]]), false);
+        let y = d.eval(&Matrix::from_rows(&[vec![1.0, 1.0]]));
         assert_eq!(y[(0, 0)], 6.0);
     }
 
@@ -267,7 +325,7 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut rng());
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.3, -0.7]]);
         // Loss = sum(y); dL/dy = ones.
-        let _ = d.forward(&x, true);
+        let _ = d.forward(&x);
         let ones = Matrix::from_fn(2, 2, |_, _| 1.0);
         let dx = d.backward(&ones).unwrap();
         let eps = 1e-6;
@@ -275,9 +333,9 @@ mod tests {
         for (i, j) in [(0, 0), (1, 1), (2, 0)] {
             let orig = d.w[(i, j)];
             d.w[(i, j)] = orig + eps;
-            let lp: f64 = d.forward(&x, false).as_slice().iter().sum();
+            let lp: f64 = d.eval(&x).as_slice().iter().sum();
             d.w[(i, j)] = orig - eps;
-            let lm: f64 = d.forward(&x, false).as_slice().iter().sum();
+            let lm: f64 = d.eval(&x).as_slice().iter().sum();
             d.w[(i, j)] = orig;
             let num = (lp - lm) / (2.0 * eps);
             let ana = d.gw.as_ref().unwrap()[(i, j)];
@@ -289,8 +347,8 @@ mod tests {
             xp[(i, j)] += eps;
             let mut xm = x.clone();
             xm[(i, j)] -= eps;
-            let lp: f64 = d.forward(&xp, false).as_slice().iter().sum();
-            let lm: f64 = d.forward(&xm, false).as_slice().iter().sum();
+            let lp: f64 = d.eval(&xp).as_slice().iter().sum();
+            let lm: f64 = d.eval(&xm).as_slice().iter().sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dx[(i, j)]).abs() < 1e-6);
         }
@@ -300,7 +358,7 @@ mod tests {
     fn relu_zeroes_negatives_and_gradients() {
         let mut r = ReLu::default();
         let x = Matrix::from_rows(&[vec![-1.0, 2.0]]);
-        let y = r.forward(&x, true);
+        let y = r.forward(&x);
         assert_eq!(y, Matrix::from_rows(&[vec![0.0, 2.0]]));
         let dx = r.backward(&Matrix::from_rows(&[vec![5.0, 5.0]])).unwrap();
         assert_eq!(dx, Matrix::from_rows(&[vec![0.0, 5.0]]));
@@ -310,7 +368,7 @@ mod tests {
     fn batchnorm_normalises_batch() {
         let mut bn = BatchNorm::new(2);
         let x = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]]);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // Each column of y should have ~zero mean and ~unit variance.
         let means = y.col_means();
         let vars = y.col_variances();
@@ -325,11 +383,12 @@ mod tests {
         let mut bn = BatchNorm::new(1);
         let x = Matrix::from_rows(&[vec![10.0], vec![20.0]]);
         for _ in 0..200 {
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x);
         }
         // Eval on a single row: output should be roughly (15-15)/std = 0
         // for the mean input.
-        let y = bn.forward(&Matrix::from_rows(&[vec![15.0]]), false);
+        let mut y = Matrix::from_rows(&[vec![15.0]]);
+        bn.eval(&mut y);
         assert!(y[(0, 0)].abs() < 0.2, "got {}", y[(0, 0)]);
     }
 
@@ -345,13 +404,14 @@ mod tests {
             vec![0.1, 0.9],
         ]);
         // Loss = sum of squares of output / 2 → dL/dy = y.
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         let dx = bn.backward(&y).unwrap();
         let eps = 1e-6;
         let loss = |bn: &mut BatchNorm, x: &Matrix| -> f64 {
-            // Recompute with train=true but frozen running stats: clone.
+            // Recompute with the training pass on a clone, so the running
+            // stats stay frozen.
             let mut b = bn.clone();
-            let y = b.forward(x, true);
+            let y = b.forward(x);
             y.as_slice().iter().map(|v| v * v).sum::<f64>() / 2.0
         };
         for (i, j) in [(0, 0), (2, 1), (3, 0)] {
@@ -372,11 +432,12 @@ mod tests {
     fn dropout_scales_to_preserve_expectation() {
         let mut d = Dropout::new(0.5);
         let x = Matrix::from_fn(1000, 1, |_, _| 1.0);
-        let y = d.forward(&x, true, &mut rng());
+        let y = d.forward(&x, &mut rng());
         let mean = y.as_slice().iter().sum::<f64>() / 1000.0;
         assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
-        // Eval mode is identity.
-        let y = d.forward(&x, false, &mut rng());
+        // The inference pass is the identity.
+        let mut y = x.clone();
+        d.eval(&mut y);
         assert_eq!(y, x);
     }
 
@@ -384,7 +445,7 @@ mod tests {
     fn dropout_backward_uses_same_mask() {
         let mut d = Dropout::new(0.5);
         let x = Matrix::from_fn(4, 4, |_, _| 1.0);
-        let y = d.forward(&x, true, &mut rng());
+        let y = d.forward(&x, &mut rng());
         let dy = Matrix::from_fn(4, 4, |_, _| 1.0);
         let dx = d.backward(&dy);
         // Gradient flows exactly where outputs were kept.

@@ -7,7 +7,8 @@
 //! crate implements both from scratch:
 //!
 //! * [`layers`] — dense / ReLU / batch-norm / dropout layers with explicit
-//!   forward/backward passes over batch-major [`Matrix`](aiio_linalg::Matrix)es;
+//!   training forward/backward passes and an `&self` inference pass over
+//!   batch-major [`Matrix`](aiio_linalg::Matrix)es;
 //! * [`adam`] — the Adam optimiser;
 //! * [`error`] — typed [`DimensionError`]s for config validation and
 //!   layer wiring, so a misconfigured model family fails its fit instead

@@ -158,7 +158,7 @@ impl Mlp {
                 let xb =
                     Matrix::from_rows(&chunk.iter().map(|&i| x[i].clone()).collect::<Vec<_>>());
                 let yb: Vec<f64> = chunk.iter().map(|&i| y[i]).collect();
-                let pred = model.forward(&xb, true, &mut rng);
+                let pred = model.forward(&xb, &mut rng);
                 // MSE loss: dL/dpred = 2 (pred - y) / batch.
                 let nb = yb.len() as f64;
                 let dy = Matrix::from_fn(pred.rows(), 1, |i, _| 2.0 * (pred[(i, 0)] - yb[i]) / nb);
@@ -189,22 +189,41 @@ impl Mlp {
             model.blocks = blocks;
             model.head = head;
         }
+        model.clear_caches();
         Ok(model)
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool, rng: &mut ChaCha8Rng) -> Matrix {
+    /// Training pass: batch statistics, dropout masks, and every layer
+    /// caches what `backward` needs.
+    fn forward(&mut self, x: &Matrix, rng: &mut ChaCha8Rng) -> Matrix {
         let mut h = x.clone();
         for b in &mut self.blocks {
-            h = b.dense.forward(&h, train);
+            h = b.dense.forward(&h);
             if let Some(bn) = &mut b.bn {
-                h = bn.forward(&h, train);
+                h = bn.forward(&h);
             }
-            h = b.relu.forward(&h, train);
+            h = b.relu.forward(&h);
             if let Some(d) = &mut b.dropout {
-                h = d.forward(&h, train, rng);
+                h = d.forward(&h, rng);
             }
         }
-        self.head.forward(&h, train)
+        self.head.forward(&h)
+    }
+
+    /// Drop the training caches so a fitted model holds only what its
+    /// serialized form holds.
+    fn clear_caches(&mut self) {
+        for b in &mut self.blocks {
+            b.dense.clear_cache();
+            if let Some(bn) = &mut b.bn {
+                bn.clear_cache();
+            }
+            b.relu.clear_cache();
+            if let Some(d) = &mut b.dropout {
+                d.clear_cache();
+            }
+        }
+        self.head.clear_cache();
     }
 
     fn backward(&mut self, dy: &Matrix) -> Result<(), DimensionError> {
@@ -256,15 +275,25 @@ impl Mlp {
         Ok(())
     }
 
-    /// Predict a batch (eval mode).
+    /// Predict a batch with the `&self` inference pass: running batch-norm
+    /// statistics, no dropout, no caches. Each row's prediction depends
+    /// only on that row.
     pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        // Forward in eval mode never mutates observable state, but the
-        // layer API wants &mut for cache reuse; clone the (small) model.
-        let mut m = self.clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let xb = Matrix::from_rows(x);
-        let out = m.forward(&xb, false, &mut rng);
-        (0..out.rows()).map(|i| out[(i, 0)]).collect()
+        if x.is_empty() {
+            return vec![];
+        }
+        let mut h = Matrix::from_rows(x);
+        for b in &self.blocks {
+            h = b.dense.eval(&h);
+            if let Some(bn) = &b.bn {
+                bn.eval(&mut h);
+            }
+            b.relu.eval(&mut h);
+            if let Some(d) = &b.dropout {
+                d.eval(&mut h);
+            }
+        }
+        self.head.eval(&h).into_vec()
     }
 
     /// Predict one sample.

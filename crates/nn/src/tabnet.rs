@@ -151,12 +151,15 @@ fn rand_matrix(rng: &mut impl Rng, rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
 }
 
-fn add_bias(m: &mut Matrix, b: &[f64]) {
+/// The linear map `x W + b`.
+fn affine(x: &Matrix, w: &Matrix, b: &[f64]) -> Matrix {
+    let mut m = x.matmul(w);
     for i in 0..m.rows() {
         for (v, bb) in m.row_mut(i).iter_mut().zip(b) {
             *v += bb;
         }
     }
+    m
 }
 
 fn col_sums(m: &Matrix) -> Vec<f64> {
@@ -258,66 +261,88 @@ impl TabNet {
         Ok(model)
     }
 
-    /// Forward pass; returns per-row predictions, per-step caches (when
-    /// `train`), and the aggregated decision output.
-    fn forward(&self, x: &Matrix, train: bool) -> (Vec<f64>, Vec<StepCache>, Matrix) {
-        let n = x.rows();
-        let d_in = x.cols();
-        // a_0 = relu(x P + b)
-        let mut a_pre0 = x.matmul(&self.proj_w);
-        add_bias(&mut a_pre0, &self.proj_b);
-        let mut a = a_pre0.map(relu);
-        let mut prior = Matrix::from_fn(n, d_in, |_, _| 1.0);
-        let mut agg_d = Matrix::zeros(n, self.config.n_d);
-        let mut caches = Vec::new();
-
-        for step in &self.steps {
-            let mut z = a.matmul(&step.attn_w);
-            add_bias(&mut z, &step.attn_b);
-            // Mask = rowwise sparsemax(z * prior).
-            let mut mask = Matrix::zeros(n, d_in);
-            for i in 0..n {
-                let zi: Vec<f64> = z
-                    .row(i)
-                    .iter()
-                    .zip(prior.row(i))
-                    .map(|(a, b)| a * b)
-                    .collect();
-                mask.row_mut(i).copy_from_slice(&sparsemax(&zi));
-            }
-            let xm = x.zip_map(&mask, |a, b| a * b);
-            let mut h_pre = xm.matmul(&step.ft_w);
-            add_bias(&mut h_pre, &step.ft_b);
-            let h = h_pre.map(relu);
-            let mut d_pre = h.matmul(&step.dec_w);
-            add_bias(&mut d_pre, &step.dec_b);
-            let d = d_pre.map(relu);
-            agg_d.axpy(1.0, &d);
-            let mut a_pre = h.matmul(&step.att_w);
-            add_bias(&mut a_pre, &step.att_b);
-            let a_next = a_pre.map(relu);
-            if train {
-                caches.push(StepCache {
-                    a_prev: a.clone(),
-                    prior: prior.clone(),
-                    mask: mask.clone(),
-                    xm,
-                    h_pre,
-                    h,
-                    d_pre,
-                    a_pre,
-                });
-            }
-            // Prior relaxation (stop-gradient).
-            prior = prior.zip_map(&mask, |p, m| p * (self.config.gamma - m).max(0.0));
-            a = a_next;
+    /// One step's attentive mask: row-wise `sparsemax((a W + b) ⊙ prior)`.
+    fn mask(step: &Step, a: &Matrix, prior: &Matrix) -> Matrix {
+        let z = affine(a, &step.attn_w, &step.attn_b);
+        let mut mask = Matrix::zeros(z.rows(), z.cols());
+        for i in 0..z.rows() {
+            let zi: Vec<f64> = z
+                .row(i)
+                .iter()
+                .zip(prior.row(i))
+                .map(|(a, b)| a * b)
+                .collect();
+            mask.row_mut(i).copy_from_slice(&sparsemax(&zi));
         }
+        mask
+    }
 
+    /// Prior relaxation (stop-gradient): `prior * max(gamma - mask, 0)`.
+    fn relax(&self, prior: &Matrix, mask: &Matrix) -> Matrix {
+        prior.zip_map(mask, |p, m| p * (self.config.gamma - m).max(0.0))
+    }
+
+    /// The per-row regression head over the aggregated decision output.
+    fn head(&self, agg_d: &Matrix) -> Vec<f64> {
         let mut pred = agg_d.matvec(self.head_w.as_slice());
         for p in &mut pred {
             *p += self.head_b;
         }
-        (pred, caches, agg_d)
+        pred
+    }
+
+    /// Training pass; returns per-row predictions, every step's backprop
+    /// cache, and the aggregated decision output.
+    fn forward(&self, x: &Matrix) -> (Vec<f64>, Vec<StepCache>, Matrix) {
+        // a_0 = relu(x P + b)
+        let mut a = affine(x, &self.proj_w, &self.proj_b).map(relu);
+        let mut prior = Matrix::from_fn(x.rows(), x.cols(), |_, _| 1.0);
+        let mut agg_d = Matrix::zeros(x.rows(), self.config.n_d);
+        let mut caches = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            let mask = Self::mask(step, &a, &prior);
+            let xm = x.zip_map(&mask, |a, b| a * b);
+            let h_pre = affine(&xm, &step.ft_w, &step.ft_b);
+            let h = h_pre.map(relu);
+            let d_pre = affine(&h, &step.dec_w, &step.dec_b);
+            agg_d.axpy(1.0, &d_pre.map(relu));
+            let a_pre = affine(&h, &step.att_w, &step.att_b);
+            let a_next = a_pre.map(relu);
+            let next_prior = self.relax(&prior, &mask);
+            caches.push(StepCache {
+                a_prev: std::mem::replace(&mut a, a_next),
+                prior: std::mem::replace(&mut prior, next_prior),
+                mask,
+                xm,
+                h_pre,
+                h,
+                d_pre,
+                a_pre,
+            });
+        }
+        (self.head(&agg_d), caches, agg_d)
+    }
+
+    /// Inference pass: the training pass's arithmetic with no caches and
+    /// the ReLUs in place. `on_mask` sees each step's attentive mask.
+    fn eval(&self, x: &Matrix, mut on_mask: impl FnMut(&Matrix)) -> Vec<f64> {
+        let mut a = affine(x, &self.proj_w, &self.proj_b);
+        a.map_inplace(relu);
+        let mut prior = Matrix::from_fn(x.rows(), x.cols(), |_, _| 1.0);
+        let mut agg_d = Matrix::zeros(x.rows(), self.config.n_d);
+        for step in &self.steps {
+            let mask = Self::mask(step, &a, &prior);
+            on_mask(&mask);
+            let mut h = affine(&x.zip_map(&mask, |a, b| a * b), &step.ft_w, &step.ft_b);
+            h.map_inplace(relu);
+            let mut d = affine(&h, &step.dec_w, &step.dec_b);
+            d.map_inplace(relu);
+            agg_d.axpy(1.0, &d);
+            a = affine(&h, &step.att_w, &step.att_b);
+            a.map_inplace(relu);
+            prior = self.relax(&prior, &mask);
+        }
+        self.head(&agg_d)
     }
 
     /// One minibatch of training.
@@ -327,7 +352,7 @@ impl TabNet {
         y: &[f64],
         adam: &mut Adam,
     ) -> Result<(), DimensionError> {
-        let (pred, caches, agg_d) = self.forward(x, true);
+        let (pred, caches, agg_d) = self.forward(x);
         let n = y.len() as f64;
         // dL/dpred for MSE.
         let dpred: Vec<f64> = pred.iter().zip(y).map(|(p, t)| 2.0 * (p - t) / n).collect();
@@ -403,11 +428,7 @@ impl TabNet {
         }
 
         // Initial projection: a_0 = relu(x P + b).
-        let a_pre0 = {
-            let mut m = x.matmul(&self.proj_w);
-            add_bias(&mut m, &self.proj_b);
-            m
-        };
+        let a_pre0 = affine(x, &self.proj_w, &self.proj_b);
         let da0_pre = grad_a.zip_map(&a_pre0.map(relu_grad), |g, r| g * r);
         let gproj_w = x.transpose().matmul(&da0_pre);
         let gproj_b = col_sums(&da0_pre);
@@ -447,13 +468,13 @@ impl TabNet {
         Ok(())
     }
 
-    /// Predict a batch.
+    /// Predict a batch with the inference pass. Each row's prediction
+    /// depends only on that row.
     pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
         if x.is_empty() {
             return vec![];
         }
-        let xb = Matrix::from_rows(x);
-        self.forward(&xb, false).0
+        self.eval(&Matrix::from_rows(x), |_| {})
     }
 
     /// Predict one sample.
@@ -472,49 +493,15 @@ impl TabNet {
         if x.is_empty() {
             return vec![];
         }
-        let xb = Matrix::from_rows(x);
-        let n = xb.rows();
-        let d_in = xb.cols();
-        let mut a = {
-            let mut m = xb.matmul(&self.proj_w);
-            add_bias(&mut m, &self.proj_b);
-            m.map(relu)
-        };
-        let mut prior = Matrix::from_fn(n, d_in, |_, _| 1.0);
-        let mut total = vec![0.0; d_in];
-        for step in &self.steps {
-            let mut z = a.matmul(&step.attn_w);
-            add_bias(&mut z, &step.attn_b);
-            let mut mask = Matrix::zeros(n, d_in);
-            for i in 0..n {
-                let zi: Vec<f64> = z
-                    .row(i)
-                    .iter()
-                    .zip(prior.row(i))
-                    .map(|(a, b)| a * b)
-                    .collect();
-                mask.row_mut(i).copy_from_slice(&sparsemax(&zi));
-            }
-            for i in 0..n {
+        let mut total = vec![0.0; x[0].len()];
+        self.eval(&Matrix::from_rows(x), |mask| {
+            for i in 0..mask.rows() {
                 for (t, &m) in total.iter_mut().zip(mask.row(i)) {
                     *t += m;
                 }
             }
-            let xm = xb.zip_map(&mask, |a, b| a * b);
-            let h = {
-                let mut m = xm.matmul(&step.ft_w);
-                add_bias(&mut m, &step.ft_b);
-                m.map(relu)
-            };
-            let a_next = {
-                let mut m = h.matmul(&step.att_w);
-                add_bias(&mut m, &step.att_b);
-                m.map(relu)
-            };
-            prior = prior.zip_map(&mask, |p, m| p * (self.config.gamma - m).max(0.0));
-            a = a_next;
-        }
-        let norm = (n * self.steps.len()) as f64;
+        });
+        let norm = (x.len() * self.steps.len()) as f64;
         total.iter_mut().for_each(|t| *t /= norm);
         total
     }
