@@ -1,14 +1,10 @@
-//! Benchmark harness for the AIIO reproduction.
+//! Paper reproduction for AIIO.
 //!
-//! Two kinds of targets live here:
-//!
-//! * **`repro_*` binaries** (`src/bin/`) — one per table/figure of the
-//!   paper; each prints the regenerated rows/series next to the paper's
-//!   numbers and writes machine-readable JSON under `results/`. Run them
-//!   all with `cargo run --release -p aiio-bench --bin repro_all`.
-//! * **Criterion benches** (`benches/`) — microbenchmarks of the moving
-//!   parts (simulator throughput, model training, SHAP explainers,
-//!   diagnosis latency).
+//! One `repro_*` binary (`src/bin/`) per table/figure of the paper; each
+//! prints the regenerated rows/series next to the paper's numbers and
+//! writes machine-readable JSON under `results/`. Run them all with
+//! `cargo run --release -p aiio-bench --bin repro_all`. Performance is
+//! measured by the separate `perfbench/` package, not here.
 //!
 //! The shared [`Context`] builds the standard synthetic database and trains
 //! the standard model zoo once, caching the trained service on disk so the

@@ -320,6 +320,23 @@ mod tests {
         assert_eq!(store.read_all().unwrap(), sampler.generate());
         // Small chunks against a 16-row segment size must still have sealed.
         assert!(store.stats().segments >= 2, "{:?}", store.stats());
+        // Reopened with room for every row, seal + compact merges the
+        // undersized segments, and the merged store still reads back as
+        // generate().
+        drop(store);
+        let mut store = aiio_store::Store::open_with(
+            &dir,
+            aiio_store::StoreConfig {
+                rows_per_segment: 64,
+                ..aiio_store::StoreConfig::default()
+            },
+        )
+        .unwrap();
+        store.seal().unwrap();
+        let report = store.compact().unwrap();
+        assert!(report.segments_after < report.segments_before, "{report:?}");
+        assert_eq!(store.stats().segments, report.segments_after);
+        assert_eq!(store.read_all().unwrap(), sampler.generate());
         let _ = std::fs::remove_dir_all(dir);
     }
 
