@@ -16,19 +16,20 @@
 //! land before the WAL so a WAL reset after a primary seal never races
 //! the segment that replaced it.
 //!
-//! Nothing is published unverified: WAL and journal bytes are CRC-walked
-//! ([`aiio_store::wal::scan_frames`], [`journal::scan_frames`]) and
-//! segment bodies checked against their CRC trailer before the
-//! staging-write + atomic-rename publish. The resume offset is always *derived* from the
-//! local copy's intact length, never persisted, so a pull killed at any
-//! byte resumes exactly (see the crate docs).
+//! The WAL and the journal are both framed logs and go through the same
+//! follower step ([`replica::pull_log`]): the resume point is *derived*
+//! from the local copy's intact prefix, never persisted, so a pull
+//! killed at any byte resumes exactly, and received bytes are CRC-walked
+//! before publication. Segment bodies are checked against their CRC
+//! trailer before the staging-write + atomic-rename publish.
 
 use std::io;
 use std::path::Path;
 use std::time::Duration;
 
-use aiio_shard::replica::{self, SegmentEntry, ShardPullReport, ShardSource, WalChunk};
+use aiio_shard::replica::{self, SegmentEntry, ShardPullReport, ShardSource};
 use aiio_shard::{journal, manifest};
+use aiio_store::frames::Tail;
 
 use crate::http::{self, Response};
 use crate::server::ReplManifest;
@@ -144,9 +145,12 @@ fn pass(root: &Path, base: &str, cfg: &PullConfig, probe: bool) -> io::Result<Pu
     // whose shard bytes did not land would invert the journal <= rows
     // invariant the fleet open relies on.
     if !probe && report.total_lag_frames() == 0 {
-        let (bytes, reset) = pull_journal(&epoch_dir.join(journal::JOURNAL_NAME), base, cfg)?;
-        report.journal_bytes_shipped = bytes;
-        report.journal_reset = reset;
+        let path = epoch_dir.join(journal::JOURNAL_NAME);
+        let step = replica::pull_log(&path, journal::JOURNAL_MAGIC, false, |from, next| {
+            fetch_tail(base, &format!("/repl/journal?from={from}&next={next}"), cfg)
+        })?;
+        report.journal_bytes_shipped = step.bytes;
+        report.journal_reset = step.reset;
     }
     Ok(report)
 }
@@ -155,7 +159,7 @@ fn pass(root: &Path, base: &str, cfg: &PullConfig, probe: bool) -> io::Result<Pu
 /// error, a non-200 status or a response `verify` rejects is retried up
 /// to `cfg.retries` extra times, sleeping `backoff * attempt` between
 /// attempts. A 200 with a torn body passes unless `verify` objects — the
-/// engine's CRC walk truncates WAL and journal tails itself.
+/// follower step's CRC walk truncates WAL and journal tails itself.
 fn get_verified(
     base: &str,
     path: &str,
@@ -191,6 +195,19 @@ fn get(base: &str, path: &str, cfg: &PullConfig) -> io::Result<Response> {
 /// The value of header `name` as a u64, 0 when absent or malformed.
 fn header_u64(r: &Response, name: &str) -> u64 {
     r.header(name).and_then(|v| v.parse().ok()).unwrap_or(0)
+}
+
+/// GET one framed-log tail (`path` carries `from=`/`next=`), reading the
+/// counts from the reply headers.
+fn fetch_tail(base: &str, path: &str, cfg: &PullConfig) -> io::Result<Tail> {
+    let f = get(base, path, cfg)?;
+    Ok(Tail {
+        reset: f.header(H_RESET) == Some("1"),
+        frames: header_u64(&f, H_FRAMES),
+        rows: header_u64(&f, H_ROWS),
+        new_offset: header_u64(&f, H_OFFSET),
+        body: f.body,
+    })
 }
 
 fn fetch_manifest(base: &str, cfg: &PullConfig) -> io::Result<ReplManifest> {
@@ -266,44 +283,9 @@ impl ShardSource for HttpSource<'_> {
         Ok(body)
     }
 
-    fn fetch_wal(&self, from: u64, probe: bool) -> io::Result<WalChunk> {
+    fn fetch_wal(&self, from: u64, next: u64, probe: bool) -> io::Result<Tail> {
         let probe_q = if probe { "&probe=1" } else { "" };
-        let path = format!("/repl/{}/wal?from={from}{probe_q}", self.shard);
-        let f = get(self.base, &path, self.cfg)?;
-        Ok(WalChunk {
-            reset: f.header(H_RESET) == Some("1"),
-            frames: header_u64(&f, H_FRAMES),
-            rows: header_u64(&f, H_ROWS),
-            offset: header_u64(&f, H_OFFSET),
-            body: f.body,
-        })
+        let path = format!("/repl/{}/wal?from={from}&next={next}{probe_q}", self.shard);
+        fetch_tail(self.base, &path, self.cfg)
     }
-}
-
-/// Ship the ordinal journal tail from the locally derived intact
-/// offset. Returns (bytes published, reset).
-fn pull_journal(path: &Path, base: &str, cfg: &PullConfig) -> io::Result<(u64, bool)> {
-    let local = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let (local_intact, local_rows) = journal::scan_frames(&local, 0);
-    let f = get(base, &format!("/repl/journal?from={local_intact}"), cfg)?;
-    if f.header(H_RESET) == Some("1") {
-        // The primary healed (rewrote) its journal; restart our copy
-        // from the verified prefix of what it sent.
-        let (intact, _) = journal::scan_frames(&f.body, 0);
-        replica::publish_bytes(path, &f.body[..intact])?;
-        return Ok((intact as u64, true));
-    }
-    // The tail continues our intact prefix: its first frame's base
-    // ordinal must equal the rows we already have.
-    let (intact, _) = journal::scan_frames(&f.body, local_rows);
-    if intact == 0 {
-        return Ok((0, false));
-    }
-    replica::truncate_to(path, local_intact as u64)?;
-    replica::append_bytes(path, &f.body[..intact])?;
-    Ok((intact as u64, false))
 }

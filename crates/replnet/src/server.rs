@@ -8,9 +8,9 @@
 //! what a follower wants to copy. Shard bytes are read through
 //! [`DirSource`], the same source local fleet replication pulls from, so
 //! a follower on another host copies exactly what a local follower would.
-//! The CRC walks inherited from [`aiio_store::wal::tail_frames`] and
-//! [`aiio_shard::journal::tail_bytes`] mean a reply never contains a torn
-//! or corrupt frame.
+//! The WAL and the journal answer through one tail reply over
+//! [`aiio_store::frames::tail_log`], whose CRC walk means a reply never
+//! contains a torn or corrupt frame.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -18,6 +18,8 @@ use std::path::{Path, PathBuf};
 use aiio_shard::journal;
 use aiio_shard::replica::{DirSource, ShardSource};
 use aiio_shard::AnyStore;
+use aiio_store::frames::{self, Tail};
+use aiio_store::StoreError;
 
 use crate::http::{self, Response};
 use crate::{H_FRAMES, H_OFFSET, H_RESET, H_ROWS};
@@ -79,24 +81,28 @@ fn octets(body: Vec<u8>) -> Response {
     Response::bytes(200, "application/octet-stream", body)
 }
 
-/// The query of a WAL or journal tail request: `from=N` (default 0) and
-/// `probe=1`; other keys are ignored.
+/// The query of a WAL or journal tail request: `from=N` and `next=M`
+/// (default 0 each) and `probe=1`; other keys are ignored.
+#[derive(Default)]
 struct TailQuery {
     from: u64,
+    next: u64,
     probe: bool,
 }
 
 fn tail_query(query: &str) -> Result<TailQuery, Response> {
-    let mut q = TailQuery {
-        from: 0,
-        probe: false,
-    };
+    let mut q = TailQuery::default();
     for (key, value) in http::parse_query(query) {
         match key.as_str() {
             "from" => {
                 q.from = value
                     .parse()
                     .map_err(|_| Response::error(400, "bad from= offset"))?;
+            }
+            "next" => {
+                q.next = value
+                    .parse()
+                    .map_err(|_| Response::error(400, "bad next= ordinal"))?;
             }
             "probe" => q.probe = value == "1",
             _ => {}
@@ -114,7 +120,13 @@ pub fn repl_reply(src: &ReplSource, target: &str) -> Response {
     let mut parts = path.split('/');
     match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some("manifest"), None, ..) => manifest_reply(src),
-        (Some("journal"), None, ..) => journal_reply(src, query),
+        (Some("journal"), None, ..) => match src {
+            ReplSource::Fleet { journal: path, .. } => tail_reply(query, |q| {
+                frames::tail_log(path, journal::JOURNAL_MAGIC, q.from, q.next, q.probe)
+                    .map_err(StoreError::into_io)
+            }),
+            ReplSource::Single { .. } => Response::error(404, "single-store layout has no journal"),
+        },
         (Some(shard), Some(tail), seg_name, None) => {
             let Ok(s) = shard.parse::<usize>() else {
                 return Response::error(404, "unknown replication path");
@@ -123,7 +135,9 @@ pub fn repl_reply(src: &ReplSource, target: &str) -> Response {
                 return Response::error(404, "shard out of range");
             };
             match (tail, seg_name) {
-                ("wal", None) => wal_reply(dir, query),
+                ("wal", None) => {
+                    tail_reply(query, |q| DirSource(dir).fetch_wal(q.from, q.next, q.probe))
+                }
                 ("segments", None) => segments_reply(dir),
                 ("segment", Some(name)) => segment_reply(dir, name),
                 _ => Response::error(404, "unknown replication path"),
@@ -163,18 +177,20 @@ fn manifest_reply(src: &ReplSource) -> Response {
     }
 }
 
-fn wal_reply(dir: &Path, query: &str) -> Response {
+/// The one reply for a framed-log tail (a shard WAL or the journal):
+/// the verbatim frames plus the reset/frames/rows/offset headers.
+fn tail_reply(query: &str, fetch: impl FnOnce(&TailQuery) -> std::io::Result<Tail>) -> Response {
     let q = match tail_query(query) {
         Ok(q) => q,
         Err(bad) => return bad,
     };
-    match DirSource(dir).fetch_wal(q.from, q.probe) {
+    match fetch(&q) {
         Ok(tail) => octets(tail.body)
             .with_header(H_RESET, u8::from(tail.reset).to_string())
             .with_header(H_FRAMES, tail.frames.to_string())
             .with_header(H_ROWS, tail.rows.to_string())
-            .with_header(H_OFFSET, tail.offset.to_string()),
-        Err(e) => Response::error(500, &format!("wal tail: {e}")),
+            .with_header(H_OFFSET, tail.new_offset.to_string()),
+        Err(e) => Response::error(500, &format!("log tail: {e}")),
     }
 }
 
@@ -201,22 +217,6 @@ fn segment_reply(dir: &Path, name: &str) -> Response {
         Err(e) if e.kind() == ErrorKind::InvalidInput => Response::error(404, "not a segment name"),
         Err(e) if e.kind() == ErrorKind::NotFound => Response::error(404, "no such segment"),
         Err(e) => Response::error(500, &format!("segment read: {e}")),
-    }
-}
-
-fn journal_reply(src: &ReplSource, query: &str) -> Response {
-    let ReplSource::Fleet { journal, .. } = src else {
-        return Response::error(404, "single-store layout has no journal");
-    };
-    let q = match tail_query(query) {
-        Ok(q) => q,
-        Err(bad) => return bad,
-    };
-    match journal::tail_bytes(journal, q.from) {
-        Ok(tail) => octets(tail.bytes)
-            .with_header(H_RESET, u8::from(tail.reset).to_string())
-            .with_header(H_OFFSET, tail.new_offset.to_string()),
-        Err(e) => Response::error(500, &format!("journal tail: {e}")),
     }
 }
 
@@ -250,6 +250,36 @@ mod tests {
         let m: ReplManifest = serde_json::from_str(std::str::from_utf8(&r.body).unwrap()).unwrap();
         assert_eq!(m.layout, "single");
         assert_eq!(m.shards, 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn wal_and_journal_tails_carry_the_same_headers() {
+        let dir = std::env::temp_dir().join(format!("replnet-server-heads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = AnyStore::open(&dir, 2).unwrap();
+        let jobs: Vec<_> = (0..6)
+            .map(|i| aiio_darshan::JobLog::new(i, "app", 2020))
+            .collect();
+        store.append_batch(&jobs).unwrap();
+        store.sync().unwrap();
+        let src = ReplSource::of(&store);
+        let header = |r: &Response, name: &str| {
+            r.headers
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.clone())
+        };
+        let journal = repl_reply(&src, "journal?from=0&next=0");
+        assert_eq!(journal.status, 200);
+        assert_eq!(header(&journal, H_FRAMES).as_deref(), Some("1"));
+        assert_eq!(header(&journal, H_ROWS).as_deref(), Some("6"));
+        assert_eq!(header(&journal, H_RESET).as_deref(), Some("0"));
+        let wal = repl_reply(&src, "0/wal?from=0&next=0");
+        for name in [H_RESET, H_FRAMES, H_ROWS, H_OFFSET] {
+            assert!(header(&wal, name).is_some(), "wal reply lacks {name}");
+        }
+        assert_eq!(repl_reply(&src, "journal?next=x").status, 400);
         let _ = std::fs::remove_dir_all(dir);
     }
 

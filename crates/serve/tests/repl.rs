@@ -341,7 +341,11 @@ fn any_crash_point_in_a_pass_resumes_without_duplicate_ordinals() {
     // exact-byte resume behaviour under test. The follower copy is only
     // opened once, at the end.
     let wal_bytes = |dir: &Path| std::fs::read(dir.join(aiio_store::wal::WAL_NAME)).unwrap();
-    let intact = |dir: &Path| aiio_store::wal::intact_len(&dir.join(aiio_store::wal::WAL_NAME));
+    let intact = |dir: &Path| {
+        let path = dir.join(aiio_store::wal::WAL_NAME);
+        aiio_store::frames::tail_log(&path, aiio_store::wal::WAL_MAGIC, 0, 0, true)
+            .map(|t| t.new_offset)
+    };
     assert_eq!(wal_bytes(&foll), wal_bytes(&prim));
 
     for i in 0..8usize {
@@ -517,12 +521,12 @@ fn replication_gauges_track_lag_and_follower_refuses_ingest() {
     primary.stop();
 }
 
-/// The ordinal-join check over the wire: a primary seal rewrites its WAL
-/// and four new 2-row frames put a frame boundary exactly at the
-/// follower's old WAL length, so the primary accepts the stale offset
-/// without flagging a reset. The tail's first ordinal does not continue
-/// the follower's copy; the pass must restart the WAL instead of
-/// appending past rows 6..12 it never received.
+/// The ordinal check over the wire: a primary seal rewrites its WAL and
+/// four new 2-row frames put a frame boundary exactly at the follower's
+/// old WAL length, so the offset alone looks current. The frame ending
+/// there does not end at the ordinal the follower expects next; the
+/// pass must restart the WAL instead of appending past rows 6..12 it
+/// never received.
 #[test]
 fn stale_offset_on_a_rewritten_wal_frame_boundary_resets_instead_of_skipping() {
     let prim = tmpdir("aiio_repl", "join_primary").unwrap();

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use aiio_darshan::{JobLog, LogDatabase, StoreBackend};
+use aiio_store::frames::FrameWriter;
 use aiio_store::schema::counter_column;
 use aiio_store::segment::SegmentMeta;
 use aiio_store::{
@@ -42,7 +43,7 @@ use aiio_store::{
 use serde::Serialize;
 
 use crate::any::Layout;
-use crate::journal::{self, JournalWriter, JOURNAL_NAME};
+use crate::journal::{self, JOURNAL_NAME};
 use crate::manifest::{self, Manifest};
 use crate::replica;
 
@@ -203,7 +204,7 @@ pub struct ShardedStore {
     serve_limits: Vec<u64>,
     orphan_rows: Vec<u64>,
     replica_rows: Vec<u64>,
-    journal: JournalWriter,
+    journal: FrameWriter,
     store_config: StoreConfig,
     recovery: FleetRecovery,
     repair_needed: bool,
@@ -272,6 +273,11 @@ impl ShardedStore {
         let epoch_dir = manifest::epoch_dir(&root, m.epoch);
         std::fs::create_dir_all(&epoch_dir)?;
 
+        // Replay the journal before any shard opens: a refused (retired
+        // format) journal must leave every shard directory untouched.
+        let journal_path = epoch_dir.join(JOURNAL_NAME);
+        let jr = journal::recover(&journal_path, m.shards)?;
+
         let mut recovery = FleetRecovery::default();
         let mut states = Vec::with_capacity(m.shards);
         let mut replica_rows = Vec::with_capacity(m.shards);
@@ -310,9 +316,7 @@ impl ShardedStore {
             });
         }
 
-        // Replay the journal and heal it against what the shards hold.
-        let journal_path = epoch_dir.join(JOURNAL_NAME);
-        let jr = journal::recover(&journal_path, m.shards)?;
+        // Heal the journal against what the shards hold.
         recovery.journal_bytes_dropped = jr.dropped_bytes;
         let rows: Vec<u64> = states.iter().map(|st| st.store.len() as u64).collect();
         let mut counts = vec![0u64; m.shards];
@@ -329,7 +333,7 @@ impl ShardedStore {
         let journal = if healed < jr.assignments.len() || jr.dropped_bytes > 0 {
             journal::rewrite(&epoch_dir, &assignments)?
         } else {
-            JournalWriter::open_append(&journal_path)?
+            FrameWriter::open_append(&journal_path)?
         };
         let orphan_rows: Vec<u64> = rows
             .iter()
@@ -449,7 +453,8 @@ impl ShardedStore {
                 self.states[s].store.append_batch(bucket)?;
             }
         }
-        self.journal.append(self.assignments.len() as u64, &ids)?;
+        self.journal
+            .append(&journal::encode(self.assignments.len() as u64, &ids))?;
         for &s in &ids {
             self.serve_limits[s as usize] += 1;
         }
@@ -664,67 +669,6 @@ impl ShardedStore {
         for st in &mut self.states {
             st.store.set_cache(cache.clone());
         }
-    }
-
-    /// Apply `f` to every row, fanning all shards' segments out across
-    /// the deterministic engine in one flat wave, then reassembling
-    /// results in global insertion order. Bit-identical at any shard and
-    /// thread count.
-    pub fn par_map<R, F>(&self, f: F) -> Result<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&JobLog) -> R + Sync,
-    {
-        enum Unit {
-            Segment(usize, usize),
-            Tail(usize),
-        }
-        let mut units = Vec::new();
-        for (s, st) in self.states.iter().enumerate() {
-            for i in 0..st.store.segments().len() {
-                units.push(Unit::Segment(s, i));
-            }
-            if !st.store.tail_rows().is_empty() {
-                units.push(Unit::Tail(s));
-            }
-        }
-        let per_unit: Vec<(usize, Result<Vec<R>>)> = aiio_par::map(&units, |unit| match *unit {
-            Unit::Segment(s, i) => {
-                let store = &self.states[s].store;
-                let meta = &store.segments()[i];
-                let mapped = store
-                    .read_segment(meta)
-                    .map(|jobs| jobs.iter().map(&f).collect::<Vec<R>>());
-                (s, mapped)
-            }
-            Unit::Tail(s) => (
-                s,
-                Ok(self.states[s].store.tail_rows().iter().map(&f).collect()),
-            ),
-        });
-        let mut per_shard: Vec<Vec<R>> = (0..self.states.len()).map(|_| Vec::new()).collect();
-        for (s, mapped) in per_unit {
-            per_shard[s].extend(mapped?);
-        }
-        for (s, results) in per_shard.iter_mut().enumerate() {
-            results.truncate(self.serve_limits[s] as usize);
-        }
-        let mut iters: Vec<std::vec::IntoIter<R>> =
-            per_shard.into_iter().map(Vec::into_iter).collect();
-        let mut out = Vec::with_capacity(self.assignments.len());
-        for &s in &self.assignments {
-            match iters[s as usize].next() {
-                Some(r) => out.push(r),
-                None => {
-                    return Err(StoreError::Corrupt {
-                        path: self.epoch_dir.join(JOURNAL_NAME),
-                        offset: 0,
-                        detail: format!("journal names shard {s} past its row count"),
-                    })
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Materialise the whole fleet as an in-memory [`LogDatabase`]
@@ -984,6 +928,60 @@ mod tests {
         }
     }
 
+    /// Every file under `dir`, by path, with its bytes.
+    fn tree_bytes(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = std::collections::BTreeMap::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else {
+                    out.insert(path.clone(), std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_retired_asj1_journal_is_refused_and_touches_no_shard() {
+        let root = tmpdir("asj1");
+        {
+            let mut fleet = ShardedStore::open_with(&root, 2, small_config()).unwrap();
+            fleet
+                .append_batch(&(0..10).map(job).collect::<Vec<_>>())
+                .unwrap();
+            fleet.sync().unwrap();
+        }
+        // Re-frame the same assignments in the retired format 1:
+        // magic "ASJ1" · n_rows · base_ordinal · CRC32(payload) · payload.
+        let journal = manifest::epoch_dir(&root, 0).join(JOURNAL_NAME);
+        let ids = journal::recover(&journal, 2).unwrap().assignments;
+        assert_eq!(ids.len(), 10);
+        let mut asj1 = b"ASJ1".to_vec();
+        asj1.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        asj1.extend_from_slice(&0u64.to_le_bytes());
+        asj1.extend_from_slice(&aiio_store::crc32(&ids).to_le_bytes());
+        asj1.extend_from_slice(&ids);
+        std::fs::write(&journal, &asj1).unwrap();
+        let before = tree_bytes(&root);
+
+        match ShardedStore::open_with(&root, 2, small_config()) {
+            Err(StoreError::Format { path, detail }) => {
+                assert_eq!(path, journal);
+                assert!(detail.contains("ASJ1"), "{detail}");
+            }
+            other => panic!("an ASJ1 journal must refuse to open, got {other:?}"),
+        }
+        assert!(
+            tree_bytes(&root) == before,
+            "a refused open must leave every file byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn combined_store_stats_sum_over_serving_shards() {
         let root = tmpdir("combined_stats");
@@ -1091,22 +1089,6 @@ mod tests {
         assert_eq!(s1.rows_matched, s2.rows_matched);
         let _ = std::fs::remove_dir_all(&single_root);
         let _ = std::fs::remove_dir_all(&fleet_root);
-    }
-
-    #[test]
-    fn par_map_is_identical_to_scan_order() {
-        let root = tmpdir("par_map");
-        let mut fleet = ShardedStore::open_with(&root, 4, small_config()).unwrap();
-        fleet
-            .append_batch(&(0..60).map(job).collect::<Vec<_>>())
-            .unwrap();
-        fleet.seal().unwrap();
-        fleet
-            .append_batch(&(60..75).map(job).collect::<Vec<_>>())
-            .unwrap();
-        let mapped = fleet.par_map(|j| j.job_id).unwrap();
-        assert_eq!(mapped, ids_of_scan(&fleet));
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -10,32 +10,40 @@
 //!
 //! One pass mirrors sealed segments first (fetch missing or resized,
 //! drop stale — staging write + atomic rename, so a crash never leaves a
-//! half-written segment visible), then ships the mutable tail as raw
-//! CRC-framed WAL bytes. The resume offset is *derived*, not persisted:
-//! frames land in the follower WAL verbatim, so the CRC-intact byte
-//! length of the follower's own WAL is exactly the leader offset already
-//! covered. A pass killed at any byte leaves a state the next pass
-//! resumes from, re-shipping at most the one torn frame it truncates.
-//! Nothing is published unverified: received WAL bytes are CRC-walked
-//! and only their intact prefix lands.
+//! half-written segment visible), then ships the mutable tail through
+//! [`pull_log`], the follower step every framed log shares — each shard
+//! WAL here, and the fleet's ordinal journal in `aiio-replnet`:
 //!
-//! A leader WAL rewrite (seal, compaction, recovery truncation) replaces
-//! the follower WAL with the whole new one. The source flags a rewrite
-//! when the offset no longer names a frame boundary; the engine catches
-//! the rest with an ordinal-join check, because a byte offset into a
-//! stale WAL generation can land on a frame boundary of the new file by
-//! coincidence, but the first shipped frame must continue the ordinals
-//! the follower already holds. The sealed segments the rewrite folded
-//! the rows into are mirrored earlier in the same pass, and the store's
-//! ordinal-watermark dedup makes any overlap harmless.
+//! * **The resume point is derived, not persisted.** Frames land in the
+//!   follower's copy verbatim, so the CRC-intact byte length of that copy
+//!   is exactly the source offset already covered, and its last frame's
+//!   end ordinal is the next row it expects. A step killed at any byte
+//!   leaves a state the next step resumes from, re-shipping at most the
+//!   one torn frame it truncates.
+//! * **The source decides continuation.** The follower sends both
+//!   numbers; the source continues only from a frame boundary at that
+//!   offset whose frame ends at that ordinal, and otherwise resets
+//!   ([`aiio_store::frames::tail_log`]). A byte offset alone is not
+//!   enough: a leader log rewritten by a seal can put a frame boundary
+//!   exactly at the follower's old length.
+//! * **Nothing is published unverified.** Received bytes are CRC-walked
+//!   and only their intact prefix lands.
+//! * **A reset publishes only a complete stream.** A torn reset body can
+//!   cover fewer rows than the copy it replaces, and rows a fleet journal
+//!   already admits must never vanish; an incomplete stream keeps the
+//!   local copy and reports the whole new log as lag. After a WAL reset
+//!   the sealed segments the rewrite folded rows into were mirrored
+//!   earlier in the same pass, and the store's ordinal-watermark dedup
+//!   makes any overlap harmless.
 //!
 //! Because the follower is a valid store at every step, failover is just
 //! "open the other directory": no replay protocol, no special reader.
 
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 use std::time::Instant;
 
+use aiio_store::frames::{self, Frame, FrameWriter, Tail};
 use aiio_store::{segment, wal, Result as StoreResult, StoreError};
 use serde::{Deserialize, Serialize};
 
@@ -52,33 +60,17 @@ pub struct SegmentEntry {
     pub bytes: u64,
 }
 
-/// A leader WAL tail as a [`ShardSource`] returns it.
-#[derive(Debug, Clone)]
-pub struct WalChunk {
-    /// True when the requested offset was not a frame boundary of the
-    /// leader WAL and the tail restarted from zero.
-    pub reset: bool,
-    /// Intact frames in (or, for a probe, available for) the body.
-    pub frames: u64,
-    /// Rows covered by those frames.
-    pub rows: u64,
-    /// Leader offset at the end of the tail.
-    pub offset: u64,
-    /// The frames verbatim (empty for a probe). Bytes that crossed a
-    /// network may be torn or corrupt; the engine CRC-walks them before
-    /// publishing anything.
-    pub body: Vec<u8>,
-}
-
 /// Where a replication pass reads one leader shard's bytes from.
 pub trait ShardSource {
     /// Sealed segments the leader holds, sorted by name.
     fn list_segments(&self) -> io::Result<Vec<SegmentEntry>>;
     /// The verified bytes of one listed segment.
     fn fetch_segment(&self, name: &str) -> io::Result<Vec<u8>>;
-    /// The leader WAL from byte offset `from`; under `probe` only the
-    /// counts, with an empty body.
-    fn fetch_wal(&self, from: u64, probe: bool) -> io::Result<WalChunk>;
+    /// The leader WAL tail for a follower copy `from` bytes long whose
+    /// next expected row ordinal is `next` (see
+    /// [`aiio_store::frames::tail_log`]); under `probe` only the counts,
+    /// with an empty body.
+    fn fetch_wal(&self, from: u64, next: u64, probe: bool) -> io::Result<Tail>;
 }
 
 /// A leader shard in a local directory.
@@ -117,20 +109,9 @@ impl ShardSource for DirSource<'_> {
         std::fs::read(self.0.join(name))
     }
 
-    fn fetch_wal(&self, from: u64, probe: bool) -> io::Result<WalChunk> {
-        let tail =
-            wal::tail_frames(&self.0.join(wal::WAL_NAME), from).map_err(StoreError::into_io)?;
-        Ok(WalChunk {
-            reset: tail.reset,
-            frames: tail.frames.len() as u64,
-            rows: tail.frames.iter().map(|f| u64::from(f.n_rows)).sum(),
-            offset: tail.new_offset,
-            body: if probe {
-                Vec::new()
-            } else {
-                tail.frames.into_iter().flat_map(|f| f.bytes).collect()
-            },
-        })
+    fn fetch_wal(&self, from: u64, next: u64, probe: bool) -> io::Result<Tail> {
+        let path = self.0.join(wal::WAL_NAME);
+        frames::tail_log(&path, wal::WAL_MAGIC, from, next, probe).map_err(StoreError::into_io)
     }
 }
 
@@ -158,11 +139,11 @@ pub struct ShardPullReport {
 }
 
 /// Bring the follower store at `dir` up to date with the leader behind
-/// `src`: sealed segments first, then the WAL tail from the offset the
-/// follower WAL already covers. Idempotent, including across a crash at
-/// any point inside a pass; an `Err` leaves a valid prefix the next pass
-/// resumes from. Under `probe` nothing is written and the report carries
-/// the lag the source declares.
+/// `src`: sealed segments first, then the WAL tail through [`pull_log`].
+/// Idempotent, including across a crash at any point inside a pass; an
+/// `Err` leaves a valid prefix the next pass resumes from. Under `probe`
+/// nothing is written and the report carries the lag the source
+/// declares.
 pub fn pull_shard(
     dir: &Path,
     src: &dyn ShardSource,
@@ -179,75 +160,87 @@ pub fn pull_shard(
         report.segments_copied = copied;
         report.segments_removed = removed;
     }
-    let wal_path = dir.join(wal::WAL_NAME);
-    let local = match std::fs::read(&wal_path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let (local_frames, local_intact) = wal::scan_frames(&local);
-    let from = local_intact as u64;
-    // The ordinal the next shipped frame must start at for the tail to
-    // really continue our copy (None = empty copy, anything joins).
-    let expected_next = local_frames
-        .last()
-        .map(|fr| fr.base_ordinal + u64::from(fr.n_rows));
-    let t0 = Instant::now();
-    let tail = src.fetch_wal(from, probe)?;
-    report.rtt_ms = t0.elapsed().as_millis() as u64;
-    report.wal_reset = tail.reset;
-    if probe {
-        report.lag_frames = tail.frames;
-        report.rows_shipped = tail.rows;
-        return Ok(report);
-    }
-    // CRC-walk the received bytes; only the intact prefix publishes. A
-    // bit-flip or a torn stream shows up as lag, never as bad bytes.
-    let (frames, intact) = wal::scan_frames(&tail.body);
-    let joins = match (frames.first(), expected_next) {
-        (Some(first), Some(exp)) => first.base_ordinal == exp,
-        _ => true,
-    };
-    if tail.reset {
-        apply_reset(&wal_path, &tail, &mut report)?;
-    } else if !joins {
-        // Our copy is from a stale WAL generation whose length happened
-        // to parse as a boundary of the rewritten file. Fetch the whole
-        // new WAL and treat it as the reset it really is.
-        report.wal_reset = true;
-        apply_reset(&wal_path, &src.fetch_wal(0, false)?, &mut report)?;
-    } else {
-        report.frames_shipped = frames.len() as u64;
-        report.rows_shipped = frames.iter().map(|fr| u64::from(fr.n_rows)).sum();
-        report.lag_frames = tail.frames.saturating_sub(report.frames_shipped);
-        if intact > 0 {
-            // Our derived offset is an intact-frame boundary; anything
-            // past it locally is a torn tail from an earlier killed pass.
-            truncate_to(&wal_path, from)?;
-            append_bytes(&wal_path, &tail.body[..intact])?;
-        }
-    }
+    let step = pull_log(
+        &dir.join(wal::WAL_NAME),
+        wal::WAL_MAGIC,
+        probe,
+        |from, next| src.fetch_wal(from, next, probe),
+    )?;
+    report.frames_shipped = step.frames;
+    report.rows_shipped = step.rows;
+    report.wal_reset = step.reset;
+    report.lag_frames = step.lag_frames;
+    report.rtt_ms = step.rtt_ms;
     Ok(report)
 }
 
-/// Replace the follower WAL with a rewritten leader's — but only from a
-/// complete stream. A torn reset body can cover fewer rows than the copy
-/// it replaces, and rows a fleet journal already admits must never
-/// vanish; an incomplete stream keeps the local copy untouched and
-/// reports the whole new WAL as lag for the next pass to ship.
-fn apply_reset(wal_path: &Path, tail: &WalChunk, report: &mut ShardPullReport) -> io::Result<()> {
-    let (frames, intact) = wal::scan_frames(&tail.body);
-    if frames.len() as u64 == tail.frames && intact == tail.body.len() {
-        report.frames_shipped = tail.frames;
-        report.rows_shipped = frames.iter().map(|fr| u64::from(fr.n_rows)).sum();
-        report.lag_frames = 0;
-        publish_bytes(wal_path, &tail.body)?;
-    } else {
-        report.frames_shipped = 0;
-        report.rows_shipped = 0;
-        report.lag_frames = tail.frames.max(1);
+/// What one [`pull_log`] step did.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LogPull {
+    /// Complete frames published.
+    pub frames: u64,
+    /// Rows covered by those frames (under a probe: rows the source
+    /// declares).
+    pub rows: u64,
+    /// Bytes published.
+    pub bytes: u64,
+    /// True when the source reset the follower's copy.
+    pub reset: bool,
+    /// Frames the source declared minus frames published.
+    pub lag_frames: u64,
+    /// Round-trip time of the fetch, milliseconds.
+    pub rtt_ms: u64,
+}
+
+/// The follower step for one framed log: bring the copy at `path` (frames
+/// under `magic`) up to date with the tail `fetch(from, next)` returns.
+/// In order: derive `from` and `next` from the copy's intact prefix,
+/// fetch, CRC-walk the received bytes, then either replace the copy
+/// (reset, and only from a complete stream) or truncate it to `from` and
+/// append the verified frames. Under `probe` nothing is written and the
+/// result carries the lag the source declares.
+pub fn pull_log(
+    path: &Path,
+    magic: &[u8; 4],
+    probe: bool,
+    fetch: impl FnOnce(u64, u64) -> io::Result<Tail>,
+) -> io::Result<LogPull> {
+    let local = frames::read_log(path).map_err(StoreError::into_io)?;
+    let (local_frames, from) = frames::walk(&local, magic);
+    let next = local_frames.last().map_or(0, Frame::next_ordinal);
+    let t0 = Instant::now();
+    let tail = fetch(from as u64, next)?;
+    let mut step = LogPull {
+        reset: tail.reset,
+        rtt_ms: t0.elapsed().as_millis() as u64,
+        ..LogPull::default()
+    };
+    if probe {
+        step.lag_frames = tail.frames;
+        step.rows = tail.rows;
+        return Ok(step);
     }
-    Ok(())
+    let (got, intact) = frames::walk(&tail.body, magic);
+    if tail.reset {
+        if got.len() as u64 != tail.frames || intact != tail.body.len() {
+            step.lag_frames = tail.frames.max(1);
+            return Ok(step);
+        }
+        publish_bytes(path, &tail.body)?;
+    } else if intact > 0 {
+        // `from` is an intact-frame boundary of our copy; anything past
+        // it locally is a torn tail from an earlier killed step.
+        truncate_to(path, from as u64)?;
+        let mut w = FrameWriter::open_append(path).map_err(StoreError::into_io)?;
+        w.append(&tail.body[..intact])
+            .and_then(|()| w.sync())
+            .map_err(StoreError::into_io)?;
+    }
+    step.frames = got.len() as u64;
+    step.rows = got.iter().map(|f| u64::from(f.n_rows)).sum();
+    step.bytes = intact as u64;
+    step.lag_frames = tail.frames.saturating_sub(step.frames);
+    Ok(step)
 }
 
 /// Fetch the segments the follower is missing (or whose size disagrees),
@@ -281,9 +274,9 @@ fn pull_segments(dir: &Path, src: &dyn ShardSource) -> io::Result<(u64, u64)> {
 }
 
 /// Trim `path` to `len` bytes (no-op for a missing or short file). Drops
-/// the torn frame a killed pass may have left past a copy's intact
+/// the torn frame a killed step may have left past a copy's intact
 /// prefix, so appends always extend a clean boundary.
-pub fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
+fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
     match std::fs::OpenOptions::new().write(true).open(path) {
         Ok(f) => {
             if f.metadata()?.len() > len {
@@ -299,23 +292,13 @@ pub fn truncate_to(path: &Path, len: u64) -> io::Result<()> {
 
 /// Staging-write + atomic-rename publish: readers see the old file or
 /// the whole new one, never a prefix.
-pub fn publish_bytes(dst: &Path, bytes: &[u8]) -> io::Result<()> {
+fn publish_bytes(dst: &Path, bytes: &[u8]) -> io::Result<()> {
     let name = dst
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| io::Error::other(format!("bad publish path {}", dst.display())))?;
     let staging = dst.with_file_name(format!("{name}{COPY_STAGING_SUFFIX}"));
     aiio_store::durable_replace(&staging, dst, bytes)
-}
-
-/// Append verified bytes and fsync.
-pub fn append_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()
 }
 
 /// Cheap row count of a follower (or any store-shaped) directory without
@@ -328,12 +311,12 @@ pub fn replica_rows(dir: &Path) -> StoreResult<u64> {
         let meta = segment::load_meta(&dir.join(&entry.name))?;
         watermark = watermark.max(meta.end_ordinal());
     }
-    let mut total = watermark;
-    let tail = wal::tail_frames(&dir.join(wal::WAL_NAME), 0)?;
-    for frame in &tail.frames {
-        total = total.max(frame.base_ordinal + u64::from(frame.n_rows));
-    }
-    Ok(total)
+    let bytes = frames::read_log(&dir.join(wal::WAL_NAME))?;
+    let (found, _) = frames::walk(&bytes, wal::WAL_MAGIC);
+    Ok(found
+        .iter()
+        .map(Frame::next_ordinal)
+        .fold(watermark, u64::max))
 }
 
 #[cfg(test)]
@@ -375,6 +358,17 @@ mod tests {
             wal_block_rows: 2,
             verify_on_open: true,
         }
+    }
+
+    /// The leader WAL tail a pass would fetch for the follower copy at
+    /// `follower_wal`.
+    fn leader_tail(leader: &Path, follower_wal: &Path) -> Tail {
+        let local = frames::read_log(follower_wal).unwrap();
+        let (held, from) = frames::walk(&local, wal::WAL_MAGIC);
+        let next = held.last().map_or(0, Frame::next_ordinal);
+        DirSource(leader)
+            .fetch_wal(from as u64, next, false)
+            .unwrap()
     }
 
     /// One local pass: `follower` pulls from the leader directory.
@@ -437,6 +431,41 @@ mod tests {
     }
 
     #[test]
+    fn leader_wal_rewritten_to_the_followers_exact_length_still_ships() {
+        // A seal rewrites the leader WAL; refilled with rows of the same
+        // encoded size, it ends exactly at the follower's old length. The
+        // offset alone looks current — only the ordinal shows the copy
+        // is a previous WAL generation.
+        let root = tmpdir("exactlen");
+        let leader = root.join("leader");
+        let follower = root.join("follower");
+        let mut store = Store::open_with(&leader, no_seal_config()).unwrap();
+        store
+            .append_batch(&(0..2).map(job).collect::<Vec<_>>())
+            .unwrap();
+        store.sync().unwrap();
+        pull(&leader, &follower);
+        let wal_len = |dir: &Path| std::fs::metadata(dir.join(wal::WAL_NAME)).unwrap().len();
+        let shipped = wal_len(&follower);
+
+        store.seal().unwrap();
+        store
+            .append_batch(&(2..4).map(job).collect::<Vec<_>>())
+            .unwrap();
+        store.sync().unwrap();
+        assert_eq!(
+            wal_len(&leader),
+            shipped,
+            "the rewrite must land on the old length"
+        );
+
+        let r = pull(&leader, &follower);
+        assert!(r.wal_reset);
+        assert_eq!(rows_of(&follower), (0..4u64).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn sync_is_idempotent() {
         let root = tmpdir("idempotent");
         let leader = root.join("leader");
@@ -478,18 +507,12 @@ mod tests {
         // ...and a "crashed" pass appends them to the follower WAL by
         // hand, dying before it finishes.
         let follower_wal = follower.join(wal::WAL_NAME);
-        let shipped = wal::intact_len(&follower_wal).unwrap();
-        let new = wal::tail_frames(&leader.join(wal::WAL_NAME), shipped).unwrap();
-        assert!(!new.frames.is_empty());
-        {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&follower_wal)
-                .unwrap();
-            for frame in &new.frames {
-                f.write_all(&frame.bytes).unwrap();
-            }
-        }
+        let new = leader_tail(&leader, &follower_wal);
+        assert!(new.frames > 0);
+        FrameWriter::open_append(&follower_wal)
+            .unwrap()
+            .append(&new.body)
+            .unwrap();
 
         // The retry derives the offset from the follower WAL and ships
         // nothing — the rows are already there, exactly once.
@@ -519,16 +542,12 @@ mod tests {
             .unwrap();
         store.sync().unwrap();
         let follower_wal = follower.join(wal::WAL_NAME);
-        let shipped = wal::intact_len(&follower_wal).unwrap();
-        let new = wal::tail_frames(&leader.join(wal::WAL_NAME), shipped).unwrap();
-        let first = &new.frames[0].bytes;
-        {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&follower_wal)
-                .unwrap();
-            f.write_all(&first[..first.len() / 2]).unwrap();
-        }
+        let new = leader_tail(&leader, &follower_wal);
+        let first = &new.body[..frames::walk(&new.body, wal::WAL_MAGIC).0[0].end];
+        FrameWriter::open_append(&follower_wal)
+            .unwrap()
+            .append(&first[..first.len() / 2])
+            .unwrap();
 
         let r = pull(&leader, &follower);
         assert!(r.frames_shipped > 0);

@@ -176,7 +176,7 @@ fn trained_services_are_byte_identical_across_shard_counts() {
 }
 
 #[test]
-fn scans_and_par_map_replay_identically_after_rebalance() {
+fn scans_replay_identically_after_rebalance() {
     let logs = jobs(250, 37);
     let root = tmpdir("rebalance_diff");
     let fleet = build_fleet(&root, 2, &logs);
@@ -192,10 +192,6 @@ fn scans_and_par_map_replay_identically_after_rebalance() {
         let mut got = Vec::new();
         fleet.scan(&mut |j| got.push(j.job_id)).unwrap();
         assert_eq!(want_ids, got, "scan order changed rebalancing to {target}");
-        for threads in thread_counts() {
-            let mapped = aiio_par::with_threads(threads, || fleet.par_map(|j| j.job_id).unwrap());
-            assert_eq!(want_ids, mapped, "par_map diverged at {target} shards");
-        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -218,9 +218,9 @@ fn losing_a_replica_directory_is_harmless() {
 
 /// A leader WAL rewrite whose new file happens to put a frame boundary
 /// at the follower's old length: the byte offset alone looks valid, so
-/// only the ordinal-join check notices the follower's copy is from the
-/// previous WAL generation. Without it the follower silently skipped
-/// rows 6..12 and a failover served 8 of 14 rows.
+/// only the ordinal the follower sends with it shows its copy is from the
+/// previous WAL generation. Without that check the follower silently
+/// skipped rows 6..12 and a failover served 8 of 14 rows.
 #[test]
 fn leader_wal_rewrite_landing_on_a_frame_boundary_loses_no_rows() {
     let cfg = StoreConfig {

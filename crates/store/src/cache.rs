@@ -1,6 +1,6 @@
 //! Shared, byte-budgeted LRU cache of decoded segments.
 //!
-//! Every read path in the stack — `scan`, `scan_filtered`, `par_map`,
+//! Every read path in the stack — `scan`, `scan_filtered`,
 //! `dataset_of_backend`, the fleet's scatter-gather merge — used to call
 //! `segment::read_jobs` and re-decode the segment file from disk on every
 //! pass. Sealed segments are immutable, so the decode is pure: one

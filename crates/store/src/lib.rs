@@ -3,12 +3,13 @@
 //! The paper's pipeline is fed by an 825 GB / 6.6 M-job Darshan database
 //! (PAPER.md §3.1); a `Vec<JobLog>` round-tripped through JSON cannot play
 //! that role. This crate is the storage layer that can: logs stream in
-//! through a checksummed WAL ([`wal`]), accumulate into immutable columnar
+//! through a checksummed WAL ([`wal`], a [`frames`] log — the one
+//! CRC-framed append-only format, which the sharded fleet's ordinal
+//! journal shares), accumulate into immutable columnar
 //! segments ([`segment`]) — one fixed-width column per Table-4 counter
 //! ([`schema`]), so reads are zero-parse and bit-exact — and stream back
 //! out in bounded memory, optionally skipping segments via per-column
-//! min/max zone maps and fanning out across segments through `aiio_par`
-//! with bit-identical results at any thread count ([`store`]).
+//! min/max zone maps ([`store`]).
 //!
 //! Durability contract: every publish is a staging-file write + atomic
 //! rename + parent-directory fsync ([`durable_replace`]), recovery truncates the WAL at the first bad checksum and
@@ -22,6 +23,7 @@ pub mod cache;
 mod codec;
 mod durable;
 pub mod error;
+pub mod frames;
 pub mod schema;
 pub mod segment;
 pub mod store;

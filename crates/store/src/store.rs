@@ -9,10 +9,8 @@
 //! last intact WAL frame — committed segments are never touched in place.
 //!
 //! Read path: scans stream one segment at a time (peak memory is one
-//! decoded segment, not the database), can skip segments via per-column
-//! zone maps, and fan out across segments through `aiio_par` — the
-//! per-segment results are reduced in segment order, so output is
-//! bit-identical at any thread count.
+//! decoded segment, not the database) and can skip segments via
+//! per-column zone maps.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -22,9 +20,10 @@ use serde::Serialize;
 
 use crate::cache::SegmentCache;
 use crate::error::{Result, StoreError};
+use crate::frames::FrameWriter;
 use crate::schema::counter_column;
 use crate::segment::{self, SegmentMeta, ZoneEntry};
-use crate::wal::{self, WalWriter, WAL_NAME};
+use crate::wal::{self, WAL_NAME};
 
 /// Tunables of a store. The defaults are what the CLI and server use.
 #[derive(Debug, Clone, Copy)]
@@ -253,10 +252,11 @@ pub fn read_segment_with(
     }
 }
 
-/// Check every row of a batch before any of it is written.
+/// Check every row of a batch before any of it is written: each must
+/// pass [`JobLog::validate`] and fit one WAL frame.
 pub fn validate_batch(jobs: &[JobLog]) -> Result<()> {
     jobs.iter()
-        .try_for_each(JobLog::validate)
+        .try_for_each(|job| job.validate().and_then(|()| wal::check_fits(job)))
         .map_err(StoreError::Invalid)
 }
 
@@ -365,7 +365,7 @@ pub struct Store {
     root: PathBuf,
     config: StoreConfig,
     segments: Vec<SegmentMeta>,
-    wal: WalWriter,
+    wal: FrameWriter,
     tail: Vec<JobLog>,
     /// Global ordinal one past the last sealed row; the WAL tail covers
     /// `[sealed_watermark, sealed_watermark + tail.len())`.
@@ -590,15 +590,16 @@ impl Store {
     }
 
     /// Append a batch of jobs: WAL first (one CRC frame per
-    /// `wal_block_rows` chunk), then seal full segments as the tail fills.
-    /// Every row is checked with [`JobLog::validate`] first; one bad row
-    /// rejects the whole batch with [`StoreError::Invalid`] and writes
-    /// nothing, so a malformed row can never poison the WAL.
+    /// `wal_block_rows` chunk, split further only at the frame caps), then
+    /// seal full segments as the tail fills. Every row is checked with
+    /// [`validate_batch`] first; one bad or oversized row rejects the whole
+    /// batch with [`StoreError::Invalid`] and writes nothing, so a
+    /// malformed row can never poison the WAL.
     pub fn append_batch(&mut self, jobs: &[JobLog]) -> Result<()> {
         validate_batch(jobs)?;
         for chunk in jobs.chunks(self.config.wal_block_rows.max(1)) {
             let base = self.sealed_watermark + self.tail.len() as u64;
-            self.wal.append_block(base, chunk)?;
+            self.wal.append(&wal::encode_block(base, chunk))?;
             self.tail.extend_from_slice(chunk);
         }
         while self.tail.len() >= self.config.rows_per_segment {
@@ -746,27 +747,6 @@ impl Store {
             range,
             sink,
         )
-    }
-
-    /// Apply `f` to every row, fanning segments out across the
-    /// deterministic engine. Results are in insertion order and
-    /// bit-identical at any `aiio_par` thread count; peak memory is one
-    /// decoded segment per engine thread.
-    pub fn par_map<R, F>(&self, f: F) -> Result<Vec<R>>
-    where
-        R: Send,
-        F: Fn(&JobLog) -> R + Sync,
-    {
-        let per_segment: Vec<Result<Vec<R>>> = aiio_par::map(&self.segments, |meta| {
-            let jobs = self.read_segment(meta)?;
-            Ok(jobs.iter().map(&f).collect())
-        });
-        let mut out = Vec::with_capacity(self.len());
-        for seg in per_segment {
-            out.extend(seg?);
-        }
-        out.extend(self.tail.iter().map(&f));
-        Ok(out)
     }
 
     /// Materialise the whole store as an in-memory [`LogDatabase`]
@@ -962,24 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_is_thread_count_invariant() {
-        let root = tmp("parmap");
-        let mut store = Store::open_with(&root, small_config()).unwrap();
-        store.append_batch(&jobs(70)).unwrap();
-        let tag = |j: &JobLog| FeaturePipeline::paper().tag_of(j).to_bits();
-        let base = aiio_par::with_threads(1, || store.par_map(tag).unwrap());
-        for threads in [2, 4, 8] {
-            let got = aiio_par::with_threads(threads, || store.par_map(tag).unwrap());
-            assert_eq!(got, base, "threads={threads}");
-        }
-        // And identical to the sequential scan.
-        let mut seq = Vec::new();
-        store.scan(&mut |j| seq.push(tag(j))).unwrap();
-        assert_eq!(base, seq);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn store_backend_feeds_identical_datasets() {
         let root = tmp("backend");
         let all = jobs(45);
@@ -1002,8 +964,8 @@ mod tests {
         drop(store);
         // Simulate the crash window: resurrect a WAL that still holds the
         // sealed rows (ordinals 0..16).
-        let mut w = wal::WalWriter::open_append(&root.join(WAL_NAME)).unwrap();
-        w.append_block(0, &all).unwrap();
+        let mut w = FrameWriter::open_append(&root.join(WAL_NAME)).unwrap();
+        w.append(&wal::encode_block(0, &all)).unwrap();
         drop(w);
         let store = Store::open_with(&root, small_config()).unwrap();
         assert_eq!(store.len(), 16, "sealed rows must not replay from the WAL");

@@ -83,17 +83,22 @@ const BLOCKING: &[&str] = &[
     ".wait(",
     ".wait_timeout(",
     "aiio_par::map(",
-    "par_map(",
+    // Framed logs (`aiio_store::frames`, behind the WAL and the ordinal
+    // journal): the writer's append and fsync, and whole-log reads and
+    // tails. A guard held across a WAL or journal append is holding it
+    // across a write (and, with `sync`, a device flush).
+    ".append(",
+    ".sync(",
+    "read_log(",
+    "tail_log(",
     // Replication engine (`aiio_shard::replica`) and rebalance
-    // primitives: WAL-tail reads, source fetches, staged publishes and
-    // whole-shard passes are all file I/O under the hood — or, through
-    // the HTTP source, socket round-trips — even when the call site
-    // names no `fs::` path.
-    "tail_frames(",
-    "intact_len(",
+    // primitives: source fetches, staged publishes, the per-log follower
+    // step and whole-shard passes are all file I/O under the hood — or,
+    // through the HTTP source, socket round-trips — even when the call
+    // site names no `fs::` path.
+    "pull_log(",
     "pull_shard(",
     "pull_segments(",
-    "apply_reset(",
     "list_segments(",
     "fetch_segment(",
     "fetch_wal(",
@@ -108,7 +113,7 @@ const BLOCKING: &[&str] = &[
     "get_verified(",
     "pull_pass(",
     "probe_pass(",
-    "pull_journal(",
+    "fetch_tail(",
     "fetch_manifest(",
     // Segment read path: decoding a sealed segment (directly or through
     // the block cache's fill path) reads and checksums megabytes of file
@@ -1533,11 +1538,16 @@ mod tests {
 
     #[test]
     fn replication_primitives_count_as_blocking() {
-        // A replication engine pass and its staged publish are file I/O;
-        // holding a guard across either must flag R002.
+        // A replication engine pass, its staged publish, the framed-log
+        // follower step and tail, and the log writer's append and fsync
+        // are file I/O; holding a guard across any must flag R002.
         for op in [
             "pull_shard(&dir, &DirSource(&leader), 0, false)",
             "publish_bytes(&dst, &bytes)",
+            "pull_log(&path, JOURNAL_MAGIC, false, fetch)",
+            "frames::tail_log(&path, WAL_MAGIC, from, next, false)",
+            "self.wal.append(&frames)",
+            "self.journal.sync()",
         ] {
             let src = format!("impl S {{ fn f(&self) {{ let g = self.state.lock(); {op}; }} }}\n");
             let w = ws(&[("crates/a/src/lib.rs", src.as_str())]);
