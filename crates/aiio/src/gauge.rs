@@ -17,7 +17,7 @@
 use aiio_cluster::{Hdbscan, HdbscanConfig};
 use aiio_darshan::Dataset;
 use aiio_explain::kernel::{KernelShap, KernelShapConfig};
-use aiio_explain::{Attribution, Predictor};
+use aiio_explain::Attribution;
 use aiio_gbdt::{Booster, GbdtConfig};
 use serde::{Deserialize, Serialize};
 
@@ -134,17 +134,7 @@ impl GaugeAnalysis {
             max_evals: self.config.max_evals,
             seed: self.config.seed,
         });
-        struct BoosterPredictor<'a>(&'a Booster);
-        impl Predictor for BoosterPredictor<'_> {
-            fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-                self.0.predict(rows)
-            }
-        }
-        shap.explain(
-            &BoosterPredictor(&cluster.model),
-            features,
-            &cluster.mean_features,
-        )
+        shap.explain(&cluster.model, features, &cluster.mean_features)
     }
 
     /// Cluster-level counter importance (Fig. 1b): mean |SHAP| over a

@@ -88,6 +88,23 @@ impl Predictor for AnyModel {
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         AnyModel::predict_batch(self, rows)
     }
+
+    fn predict_one(&self, row: &[f64]) -> f64 {
+        AnyModel::predict_one(self, row)
+    }
+
+    fn predict_coalitions(
+        &self,
+        x: &[f64],
+        background: &[f64],
+        active: &[usize],
+        masks: &[usize],
+    ) -> Vec<f64> {
+        match self {
+            AnyModel::Gbdt(m) => m.predict_coalitions(x, background, active, masks),
+            _ => aiio_explain::predict_coalition_rows(self, x, background, active, masks),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -51,17 +51,11 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
     };
     let zero_bg = vec![0.0; train.x[0].len()];
     let (mut zero_viol, mut mean_viol) = (0usize, 0usize);
-    struct P<'a>(&'a Booster);
-    impl aiio_explain::Predictor for P<'_> {
-        fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-            self.0.predict(rows)
-        }
-    }
     let sample = valid.len().min(16);
     for i in 0..sample {
         let x = &valid.x[i];
-        let a0 = shap.explain(&P(&model), x, &zero_bg);
-        let am = shap.explain(&P(&model), x, &mean_bg);
+        let a0 = shap.explain(&model, x, &zero_bg);
+        let am = shap.explain(&model, x, &mean_bg);
         zero_viol += robustness_violations(&a0, x).len();
         mean_viol += robustness_violations(&am, x).len();
     }
@@ -172,9 +166,9 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
     let mut lime_agree = 0usize;
     for i in 0..nj {
         let x = &valid.x[i];
-        let ka = kernel.explain(&P(&model), x, &zero_bg2);
+        let ka = kernel.explain(&model, x, &zero_bg2);
         let ta = tree_shap(&model, x);
-        let la = lime.explain(&P(&model), x, &zero_bg2);
+        let la = lime.explain(&model, x, &zero_bg2);
         let top = |a: &aiio_explain::Attribution| a.most_negative_first().first().copied();
         if top(&ka) == top(&ta) {
             tree_agree += 1;

@@ -17,7 +17,6 @@ use crate::{print_table, write_json, Context};
 use aiio::ModelKind;
 use aiio_darshan::CounterId;
 use aiio_explain::global::permutation_importance;
-use aiio_explain::Predictor;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -52,14 +51,8 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
     let (splits, _cover) = gbdt.feature_importance(aiio_darshan::N_COUNTERS);
 
     // 2. Permutation importance of the same model on validation rows.
-    struct P<'a>(&'a aiio_gbdt::Booster);
-    impl Predictor for P<'_> {
-        fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-            self.0.predict(rows)
-        }
-    }
     let take = valid.len().min(512);
-    let perm = permutation_importance(&P(gbdt), &valid.x[..take], &valid.y[..take], ctx.scale.seed);
+    let perm = permutation_importance(gbdt, &valid.x[..take], &valid.y[..take], ctx.scale.seed);
 
     // 3. TabNet masks, when a TabNet is in the zoo.
     let masks = match zoo.get(ModelKind::TabNet) {

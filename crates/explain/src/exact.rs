@@ -38,20 +38,10 @@ pub fn exact_shapley(model: &dyn Predictor, x: &[f64], background: &[f64]) -> At
         };
     }
 
-    // Evaluate the model at every masked point in one batch.
+    // Evaluate the model at every masked point.
     let n_subsets = 1usize << k;
-    let rows: Vec<Vec<f64>> = (0..n_subsets)
-        .map(|mask| {
-            let mut row = background.to_vec();
-            for (bit, &feat) in active.iter().enumerate() {
-                if mask >> bit & 1 == 1 {
-                    row[feat] = x[feat];
-                }
-            }
-            row
-        })
-        .collect();
-    let fvals = model.predict_batch(&rows);
+    let masks: Vec<usize> = (0..n_subsets).collect();
+    let fvals = model.predict_coalitions(x, background, &active, &masks);
 
     // Precompute factorial weights w(s) = s! (k - s - 1)! / k!.
     let ln_fact: Vec<f64> = {

@@ -73,6 +73,10 @@ impl KernelShap {
     }
 
     /// Explain `model` at `x` against `background`.
+    ///
+    /// # Panics
+    /// Panics if `usize::BITS` or more features are active (a coalition is
+    /// a `usize` bit mask over them).
     pub fn explain(&self, model: &dyn Predictor, x: &[f64], background: &[f64]) -> Attribution {
         self.explain_with_baseline(model, x, background, model.predict_one(background))
     }
@@ -82,6 +86,9 @@ impl KernelShap {
     /// prediction is the one model evaluation repeated diagnoses share, so
     /// callers that explain many jobs against one background compute it
     /// once. `expected` must equal `model.predict_one(background)`.
+    ///
+    /// # Panics
+    /// As [`Self::explain`].
     pub fn explain_with_baseline(
         &self,
         model: &dyn Predictor,
@@ -91,6 +98,7 @@ impl KernelShap {
     ) -> Attribution {
         let active = crate::sparsity_mask(x, background);
         let k = active.len();
+        crate::check_coalition_width(k);
         let mut values = vec![0.0; x.len()];
         if k == 0 {
             return Attribution { values, expected };
@@ -104,23 +112,9 @@ impl KernelShap {
         // Collect coalitions (as bitmasks over the active set) and weights.
         let (masks, weights) = self.coalitions(k);
 
-        // Evaluate the model at every coalition.
-        let rows: Vec<Vec<f64>> = masks
-            .iter()
-            .map(|&mask| {
-                let mut row = background.to_vec();
-                for (bit, &feat) in active.iter().enumerate() {
-                    if mask >> bit & 1 == 1 {
-                        row[feat] = x[feat];
-                    }
-                }
-                row
-            })
-            .collect();
-        // Parallel over the stable chunk partition: each chunk is a slice
-        // of complete rows, and predictions are per-row, so the chunked
-        // evaluation is bit-identical at any thread count.
-        let fvals = aiio_par::map_chunks(&rows, |chunk| model.predict_batch(chunk));
+        // Evaluate the model at every coalition (bit-identical at any
+        // thread count; see `Predictor::predict_coalitions`).
+        let fvals = model.predict_coalitions(x, background, &active, &masks);
 
         // Constrained WLS by eliminating the last variable:
         //   y_S - z_last (fx - f0)  =  Σ_{j<k-1} φ_j (z_j - z_last)
@@ -311,6 +305,13 @@ mod tests {
         let a = KernelShap::new(cfg.clone()).explain(&f, &x, &bg);
         let b = KernelShap::new(cfg).explain(&f, &x, &bg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "64 active features")]
+    fn too_many_active_features_for_a_mask_panic() {
+        let f = FnPredictor(|x: &[f64]| x.iter().sum());
+        KernelShap::default().explain(&f, &[1.0; 64], &[0.0; 64]);
     }
 
     #[test]

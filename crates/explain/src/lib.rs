@@ -6,6 +6,8 @@
 //! counters that are zero in the job's log receive exactly zero
 //! contribution — the paper's robustness property. This crate provides:
 //!
+//! * [`booster`] — the [`Predictor`] for `aiio-gbdt` boosters, which
+//!   answers Kernel SHAP and LIME coalitions straight from their bit masks;
 //! * [`exact`] — exact Shapley values by subset enumeration (the test
 //!   oracle; exponential, fine for ≤ 20 active features);
 //! * [`kernel`] — Kernel SHAP (Lundberg & Lee, 2017): coalition sampling
@@ -25,6 +27,7 @@
 //! the expected (background) prediction, satisfying
 //! `expected + Σ values ≈ f(x)` (local accuracy).
 
+pub mod booster;
 pub mod exact;
 pub mod global;
 pub mod kernel;
@@ -60,6 +63,63 @@ pub trait Predictor: Sync {
     fn predict_one(&self, row: &[f64]) -> f64 {
         self.predict_batch(std::slice::from_ref(&row.to_vec()))[0]
     }
+
+    /// Predict one coalition per mask. Coalition `mask` is the row that
+    /// takes `x[active[b]]` wherever bit `b` of `mask` is set and
+    /// `background` everywhere else; `active` lists distinct feature
+    /// indices, at most `usize::BITS` of them.
+    ///
+    /// The default is [`predict_coalition_rows`]. Models that can answer
+    /// straight from the masks (`aiio_gbdt::Booster`, see [`booster`])
+    /// override it and must return the same bits.
+    fn predict_coalitions(
+        &self,
+        x: &[f64],
+        background: &[f64],
+        active: &[usize],
+        masks: &[usize],
+    ) -> Vec<f64> {
+        predict_coalition_rows(self, x, background, active, masks)
+    }
+}
+
+/// [`Predictor::predict_coalitions`] by building every coalition row and
+/// predicting the rows over the stable [`aiio_par::map_chunks`] partition.
+/// Predictions are per-row, so the result is bit-identical at any thread
+/// count.
+pub fn predict_coalition_rows<P: Predictor + ?Sized>(
+    model: &P,
+    x: &[f64],
+    background: &[f64],
+    active: &[usize],
+    masks: &[usize],
+) -> Vec<f64> {
+    let rows: Vec<Vec<f64>> = masks
+        .iter()
+        .map(|&mask| {
+            let mut row = background.to_vec();
+            for (bit, &feat) in active.iter().enumerate() {
+                if mask >> bit & 1 == 1 {
+                    row[feat] = x[feat];
+                }
+            }
+            row
+        })
+        .collect();
+    aiio_par::map_chunks(&rows, |chunk| model.predict_batch(chunk))
+}
+
+/// Refuse more active features than a coalition mask has bits.
+///
+/// # Panics
+/// Panics if `k >= usize::BITS`: the explainers form `1 << k` and the
+/// all-on mask, so `k` must leave one bit spare.
+fn check_coalition_width(k: usize) {
+    assert!(
+        k < usize::BITS as usize,
+        "{k} active features: coalition masks are usize bit sets, so at most {} fit",
+        usize::BITS - 1
+    );
 }
 
 /// Wrap a plain function as a [`Predictor`].

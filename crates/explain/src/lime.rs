@@ -52,6 +52,10 @@ impl Lime {
 
     /// Explain `model` at `x` against `background`. Inactive features
     /// (equal to the background) receive exactly zero.
+    ///
+    /// # Panics
+    /// Panics if `usize::BITS` or more features are active (a perturbation
+    /// is a `usize` bit mask over them).
     pub fn explain(&self, model: &dyn Predictor, x: &[f64], background: &[f64]) -> Attribution {
         self.explain_with_baseline(model, x, background, model.predict_one(background))
     }
@@ -59,6 +63,9 @@ impl Lime {
     /// [`Self::explain`] with the baseline `f(background)` supplied by the
     /// caller (see `KernelShap::explain_with_baseline`; same caching hook).
     /// `expected` must equal `model.predict_one(background)`.
+    ///
+    /// # Panics
+    /// As [`Self::explain`].
     pub fn explain_with_baseline(
         &self,
         model: &dyn Predictor,
@@ -68,6 +75,7 @@ impl Lime {
     ) -> Attribution {
         let active = crate::sparsity_mask(x, background);
         let k = active.len();
+        crate::check_coalition_width(k);
         let mut values = vec![0.0; x.len()];
         if k == 0 {
             return Attribution { values, expected };
@@ -75,45 +83,31 @@ impl Lime {
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let n = self.config.n_samples.max(k + 2);
-        // Binary masks; always include the full point and the empty point.
-        let mut masks: Vec<Vec<bool>> = Vec::with_capacity(n);
-        masks.push(vec![true; k]);
-        masks.push(vec![false; k]);
+        // Coalition masks (bit `j` = active feature `j` on); always include
+        // the full point and the empty point.
+        let mut masks: Vec<usize> = Vec::with_capacity(n);
+        masks.push(usize::MAX >> (usize::BITS as usize - k));
+        masks.push(0);
         for _ in 2..n {
-            masks.push((0..k).map(|_| rng.gen_bool(0.5)).collect());
+            masks.push((0..k).fold(0, |m, j| m | usize::from(rng.gen_bool(0.5)) << j));
         }
-
-        let rows: Vec<Vec<f64>> = masks
-            .iter()
-            .map(|mask| {
-                let mut row = background.to_vec();
-                for (on, &feat) in mask.iter().zip(&active) {
-                    if *on {
-                        row[feat] = x[feat];
-                    }
-                }
-                row
-            })
-            .collect();
-        // Parallel over the stable chunk partition; per-row predictions
-        // make the chunked evaluation bit-identical at any thread count.
-        let fvals = aiio_par::map_chunks(&rows, |chunk| model.predict_batch(chunk));
+        let fvals = model.predict_coalitions(x, background, &active, &masks);
 
         // Proximity weights: distance = fraction of switched-off features.
         let weights: Vec<f64> = masks
             .iter()
             .map(|mask| {
-                let off = mask.iter().filter(|&&b| !b).count() as f64 / k as f64;
+                let off = (k - mask.count_ones() as usize) as f64 / k as f64;
                 (-off * off / (self.config.kernel_width * self.config.kernel_width)).exp()
             })
             .collect();
 
         // Design: intercept + one column per active feature.
         let mut design = Matrix::zeros(masks.len(), k + 1);
-        for (r, mask) in masks.iter().enumerate() {
+        for (r, &mask) in masks.iter().enumerate() {
             design[(r, 0)] = 1.0;
-            for (j, &on) in mask.iter().enumerate() {
-                design[(r, j + 1)] = if on { 1.0 } else { 0.0 };
+            for j in 0..k {
+                design[(r, j + 1)] = (mask >> j & 1) as f64;
             }
         }
         let beta = weighted_least_squares(&design, &fvals, &weights, self.config.ridge)
@@ -167,6 +161,13 @@ mod tests {
         let a = Lime::default().explain(&f, &[2.0, 3.0], &[0.0, 0.0]);
         assert!(a.values[0] < 0.0);
         assert!(a.values[1] > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "64 active features")]
+    fn too_many_active_features_for_a_mask_panic() {
+        let f = FnPredictor(|x: &[f64]| x.iter().sum());
+        Lime::default().explain(&f, &[1.0; 64], &[0.0; 64]);
     }
 
     #[test]
