@@ -871,9 +871,10 @@ fn query_rows(query: &str, shared: &Arc<Shared>) -> Response {
         let Ok(state) = state.lock() else {
             return Response::error(500, "store mutex poisoned");
         };
-        // xtask-allow: AIIO-R002 — only clones segment metadata and the
-        // WAL tail under the guard; segment bytes are read (through the
-        // block cache) by the scan below, after the guard is gone.
+        // xtask-allow: AIIO-R002 — only copies segment metadata, the WAL
+        // tail(s) and, on a fleet, the ordinal journal under the guard;
+        // segment bytes are read (through the block cache) by the scan
+        // below, after the guard is gone.
         state.store.read_view()
     };
     let mut rows = String::from("[");

@@ -66,7 +66,6 @@ pub fn small_store() -> StoreConfig {
     StoreConfig {
         rows_per_segment: 16,
         wal_block_rows: 4,
-        verify_on_open: true,
     }
 }
 

@@ -305,7 +305,6 @@ fn any_crash_point_in_a_pass_resumes_without_duplicate_ordinals() {
     let cfg = StoreConfig {
         rows_per_segment: 64,
         wal_block_rows: 4,
-        verify_on_open: true,
     };
     let pool = jobs_pool();
     {
@@ -534,7 +533,6 @@ fn stale_offset_on_a_rewritten_wal_frame_boundary_resets_instead_of_skipping() {
     let cfg = StoreConfig {
         rows_per_segment: 1024,
         wal_block_rows: 2,
-        verify_on_open: true,
     };
     // Equal-size rows, so equal row counts make equal frame lengths.
     let jobs: Vec<JobLog> = (0..14u64).map(|i| JobLog::new(i, "app", 2020)).collect();

@@ -6,16 +6,16 @@
 //! [`AnyStore::open`] is the only code that decides what a fresh
 //! directory becomes. The server, the CLI and network replication work
 //! through [`AnyStore`]'s uniform surface — append, sync, seal, compact,
-//! stats, snapshot scans, training — and never look at the files.
+//! stats, snapshot scans, training — and never look at the files. A
+//! snapshot is the same [`StoreReadView`] on both layouts; only a fleet's
+//! carries an ordinal journal.
 
 use std::path::Path;
 
 use aiio_darshan::{JobLog, LogDatabase, StoreBackend};
-use aiio_store::{
-    CompactReport, CounterRange, Result, ScanSummary, Store, StoreConfig, StoreReadView, StoreStats,
-};
+use aiio_store::{CompactReport, Result, Store, StoreConfig, StoreReadView, StoreStats};
 
-use crate::fleet::{FleetReadView, FleetRecovery, ShardStat, ShardedStore};
+use crate::fleet::{FleetRecovery, ShardStat, ShardedStore};
 use crate::manifest::MANIFEST_NAME;
 use crate::replica::{DirSource, ShardSource as _};
 
@@ -159,10 +159,10 @@ impl AnyStore {
 
     /// An owned snapshot for lock-free scanning (segment metadata and the
     /// WAL tail are copied; segment bytes are read by the scan).
-    pub fn read_view(&self) -> AnyReadView {
+    pub fn read_view(&self) -> StoreReadView<'static> {
         match self {
-            AnyStore::Plain(s) => AnyReadView::Plain(s.read_view()),
-            AnyStore::Fleet(f) => AnyReadView::Fleet(f.read_view()),
+            AnyStore::Plain(s) => s.read_view(),
+            AnyStore::Fleet(f) => f.read_view(),
         }
     }
 
@@ -184,31 +184,6 @@ impl StoreBackend for AnyStore {
         match self {
             AnyStore::Plain(s) => s.stream_jobs(sink),
             AnyStore::Fleet(f) => f.stream_jobs(sink),
-        }
-    }
-}
-
-/// A point-in-time scan surface over either layout: scans see the rows
-/// published when [`AnyStore::read_view`] ran, in insertion order.
-#[derive(Debug, Clone)]
-pub enum AnyReadView {
-    /// Snapshot of a plain store.
-    Plain(StoreReadView),
-    /// Snapshot of a fleet.
-    Fleet(FleetReadView),
-}
-
-impl AnyReadView {
-    /// Stream rows matching `range` in insertion order, zone-map pruning
-    /// intact.
-    pub fn scan_filtered(
-        &self,
-        range: &CounterRange,
-        sink: &mut dyn FnMut(&JobLog),
-    ) -> Result<ScanSummary> {
-        match self {
-            AnyReadView::Plain(v) => v.scan_filtered(range, sink),
-            AnyReadView::Fleet(v) => v.scan_filtered(range, sink),
         }
     }
 }

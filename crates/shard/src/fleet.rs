@@ -2,13 +2,14 @@
 //!
 //! A [`ShardedStore`] routes every appended row to the shard owning its
 //! job-id hash ([`crate::hash`]), records the owner in the ordinal
-//! journal ([`crate::journal`]), and on read *merges by journal*: walk
-//! the journal bytes, take the next row from whichever shard each byte
-//! names. Because the journal is exactly the global arrival order, a
-//! fleet scan replays rows byte-identically to one unsharded store — at
-//! any shard count and any `aiio_par` thread count — which is what keeps
-//! `FeaturePipeline::dataset_of_backend` (and therefore every trained
-//! model) invariant under sharding.
+//! journal ([`crate::journal`]), and on read *merges by journal*: every
+//! scan is an [`aiio_store::StoreReadView`] of the shards plus the
+//! journal, whose walker takes each run of rows from the shard the
+//! journal names. Because the journal is exactly the global arrival
+//! order, a fleet scan replays rows byte-identically to one unsharded
+//! store — at any shard count and any `aiio_par` thread count — which is
+//! what keeps `FeaturePipeline::dataset_of_backend` (and therefore every
+//! trained model) invariant under sharding.
 //!
 //! Crash consistency is a two-sided heal at open:
 //!
@@ -34,11 +35,10 @@ use std::sync::Arc;
 
 use aiio_darshan::{JobLog, LogDatabase, StoreBackend};
 use aiio_store::frames::FrameWriter;
-use aiio_store::schema::counter_column;
 use aiio_store::segment::SegmentMeta;
 use aiio_store::{
-    read_segment_with, CompactReport, CounterRange, RecoveryReport, Result, ScanSummary,
-    SegmentCache, Store, StoreConfig, StoreError, StoreStats,
+    CompactReport, CounterRange, RecoveryReport, Result, ScanSummary, Store, StoreConfig,
+    StoreError, StoreReadView, StoreStats,
 };
 use serde::Serialize;
 
@@ -241,7 +241,7 @@ impl ShardedStore {
 
     /// Open an existing fleet (its manifest decides the width), or
     /// initialise a new one with `shards` shards. `store_config` shapes
-    /// the per-shard stores (segment size, WAL chunking, verification).
+    /// the per-shard stores (segment size and WAL chunking).
     pub fn open_with(
         root: impl AsRef<Path>,
         shards: usize,
@@ -601,7 +601,7 @@ impl ShardedStore {
     /// unsharded store holding the same ingest. Peak memory is one
     /// decoded segment per shard.
     pub fn scan(&self, sink: &mut dyn FnMut(&JobLog)) -> Result<()> {
-        self.merge_scan(None, sink).map(|_| ())
+        self.live().scan(sink)
     }
 
     /// Stream rows matching `range` in global insertion order, skipping
@@ -612,53 +612,20 @@ impl ShardedStore {
         range: &CounterRange,
         sink: &mut dyn FnMut(&JobLog),
     ) -> Result<ScanSummary> {
-        self.merge_scan(Some(range), &mut |job| {
-            if range.matches(job) {
-                sink(job);
-            }
-        })
+        self.live().scan_filtered(range, sink)
     }
 
-    fn merge_scan(
-        &self,
-        filter: Option<&CounterRange>,
-        sink: &mut dyn FnMut(&JobLog),
-    ) -> Result<ScanSummary> {
-        let parts: Vec<ShardParts<'_>> = self
-            .states
-            .iter()
-            .map(|st| {
-                (
-                    st.store.segments(),
-                    st.store.tail_rows(),
-                    st.store.cache().map(|c| c.as_ref()),
-                )
-            })
-            .collect();
-        merge_scan_parts(&self.assignments, &parts, filter, sink)
+    /// Take an owned [`StoreReadView`] of the journal and every shard's
+    /// parts. Orphan tail rows may be copied too; the journal-driven walk
+    /// never reaches them, exactly as on the live fleet.
+    pub fn read_view(&self) -> StoreReadView<'static> {
+        self.live().into_owned()
     }
 
-    /// Take an owned [`FleetReadView`] of the current readable state:
-    /// the journal's assignments plus each shard's segment metadata, WAL
-    /// tail copy and cache handle. Like [`Store::read_view`], this is what
-    /// the serving layer snapshots under its ingest lock so a `/query`
-    /// scan runs after the lock is dropped.
-    pub fn read_view(&self) -> FleetReadView {
-        FleetReadView {
-            assignments: self.assignments.clone(),
-            shards: self
-                .states
-                .iter()
-                .map(|st| ShardView {
-                    // Orphan tail rows may be copied too; the journal-
-                    // driven merge never reaches them, exactly as on the
-                    // live fleet.
-                    segments: st.store.segments().to_vec(),
-                    tail: st.store.tail_rows().to_vec(),
-                    cache: st.store.cache().cloned(),
-                })
-                .collect(),
-        }
+    /// Every shard, merged by the journal.
+    fn live(&self) -> StoreReadView<'_> {
+        let stores = self.states.iter().map(|st| &st.store);
+        StoreReadView::new(stores, Some(&self.assignments))
     }
 
     /// Replace every shard's segment block cache (`None` disables
@@ -690,216 +657,6 @@ impl StoreBackend for ShardedStore {
     }
 }
 
-/// One shard's readable parts: segment metadata, WAL tail, cache handle.
-type ShardParts<'a> = (&'a [SegmentMeta], &'a [JobLog], Option<&'a SegmentCache>);
-
-/// The journal-driven scatter-gather merge over explicit shard parts —
-/// shared by [`ShardedStore::merge_scan`] (borrowing live shards) and
-/// [`FleetReadView::merge_scan`] (owning a snapshot). Output order is
-/// the journal's, so shard count, thread count and cache state cannot
-/// change it.
-fn merge_scan_parts(
-    assignments: &[u8],
-    shards: &[ShardParts<'_>],
-    filter: Option<&CounterRange>,
-    sink: &mut dyn FnMut(&JobLog),
-) -> Result<ScanSummary> {
-    let mut summary = ScanSummary::default();
-    // Prefetch: decode every shard's first segment in one parallel
-    // wave. Merge order is journal-driven, so thread count cannot
-    // change the output.
-    let prefetched: Vec<Option<Result<Arc<Vec<JobLog>>>>> = if filter.is_none() {
-        aiio_par::map(shards, |&(segments, _, cache)| {
-            segments.first().map(|meta| read_segment_with(cache, meta))
-        })
-    } else {
-        shards.iter().map(|_| None).collect()
-    };
-    let mut cursors: Vec<ShardCursor<'_>> = Vec::with_capacity(shards.len());
-    for (&(segments, tail, cache), pre) in shards.iter().zip(prefetched) {
-        let mut cursor = ShardCursor::new(segments, tail, cache);
-        if let Some(first) = pre {
-            cursor.window = Window::Rows(first?);
-            cursor.next_segment = 1;
-            if filter.is_none() {
-                summary.segments_scanned += 1;
-            }
-        }
-        cursors.push(cursor);
-    }
-    let filter_col = filter.map(|r| (r, counter_column(r.counter)));
-    for &s in assignments {
-        let cursor = &mut cursors[s as usize];
-        loop {
-            match &cursor.window {
-                Window::Rows(rows) if cursor.pos < rows.len() => {
-                    summary.rows_scanned += 1;
-                    let job = &rows[cursor.pos];
-                    if filter.is_none_or(|r| r.matches(job)) {
-                        summary.rows_matched += 1;
-                    }
-                    sink(job);
-                    cursor.pos += 1;
-                    break;
-                }
-                Window::Tail(rows) if cursor.pos < rows.len() => {
-                    summary.rows_scanned += 1;
-                    let job = &rows[cursor.pos];
-                    if filter.is_none_or(|r| r.matches(job)) {
-                        summary.rows_matched += 1;
-                    }
-                    sink(job);
-                    cursor.pos += 1;
-                    break;
-                }
-                Window::Skipped(n) if cursor.pos < *n => {
-                    cursor.pos += 1;
-                    break;
-                }
-                _ => cursor.refill(filter_col, &mut summary)?,
-            }
-        }
-    }
-    Ok(summary)
-}
-
-#[derive(Debug, Clone)]
-struct ShardView {
-    segments: Vec<SegmentMeta>,
-    tail: Vec<JobLog>,
-    cache: Option<Arc<SegmentCache>>,
-}
-
-/// An owned point-in-time view of a fleet's readable state — the
-/// fleet-shaped sibling of [`aiio_store::StoreReadView`]. Scans replay
-/// the same global insertion order as the live fleet.
-#[derive(Debug, Clone)]
-pub struct FleetReadView {
-    assignments: Vec<u8>,
-    shards: Vec<ShardView>,
-}
-
-impl FleetReadView {
-    /// Rows this view serves.
-    pub fn len(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// True when the view holds no journaled rows.
-    pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
-    }
-
-    fn merge_scan(
-        &self,
-        filter: Option<&CounterRange>,
-        sink: &mut dyn FnMut(&JobLog),
-    ) -> Result<ScanSummary> {
-        let parts: Vec<ShardParts<'_>> = self
-            .shards
-            .iter()
-            .map(|sh| (&sh.segments[..], &sh.tail[..], sh.cache.as_deref()))
-            .collect();
-        merge_scan_parts(&self.assignments, &parts, filter, sink)
-    }
-
-    /// Stream every row in global insertion order.
-    pub fn scan(&self, sink: &mut dyn FnMut(&JobLog)) -> Result<()> {
-        self.merge_scan(None, sink).map(|_| ())
-    }
-
-    /// Stream rows matching `range` in global insertion order, zone-map
-    /// pruning intact — same contract as [`ShardedStore::scan_filtered`].
-    pub fn scan_filtered(
-        &self,
-        range: &CounterRange,
-        sink: &mut dyn FnMut(&JobLog),
-    ) -> Result<ScanSummary> {
-        self.merge_scan(Some(range), &mut |job| {
-            if range.matches(job) {
-                sink(job);
-            }
-        })
-    }
-}
-
-enum Window<'a> {
-    /// Nothing loaded yet (or just exhausted).
-    Empty,
-    /// A decoded segment (shared with the cache when one is attached).
-    Rows(Arc<Vec<JobLog>>),
-    /// The shard's live WAL tail, borrowed.
-    Tail(&'a [JobLog]),
-    /// A zone-pruned segment: rows are consumed blind, never decoded.
-    Skipped(usize),
-}
-
-struct ShardCursor<'a> {
-    segments: &'a [SegmentMeta],
-    tail: &'a [JobLog],
-    cache: Option<&'a SegmentCache>,
-    next_segment: usize,
-    tail_taken: bool,
-    window: Window<'a>,
-    pos: usize,
-}
-
-impl<'a> ShardCursor<'a> {
-    fn new(
-        segments: &'a [SegmentMeta],
-        tail: &'a [JobLog],
-        cache: Option<&'a SegmentCache>,
-    ) -> ShardCursor<'a> {
-        ShardCursor {
-            segments,
-            tail,
-            cache,
-            next_segment: 0,
-            tail_taken: false,
-            window: Window::Empty,
-            pos: 0,
-        }
-    }
-
-    fn refill(
-        &mut self,
-        filter: Option<(&CounterRange, usize)>,
-        summary: &mut ScanSummary,
-    ) -> Result<()> {
-        self.pos = 0;
-        if self.next_segment < self.segments.len() {
-            let meta = &self.segments[self.next_segment];
-            self.next_segment += 1;
-            if let Some((range, col)) = filter {
-                let overlaps = meta.zones.get(col).is_none_or(|zone| range.overlaps(zone));
-                if !overlaps {
-                    summary.segments_skipped += 1;
-                    self.window = Window::Skipped(meta.rows);
-                    return Ok(());
-                }
-            }
-            summary.segments_scanned += 1;
-            self.window = Window::Rows(read_segment_with(self.cache, meta)?);
-            return Ok(());
-        }
-        if !self.tail_taken {
-            self.tail_taken = true;
-            self.window = Window::Tail(self.tail);
-            return Ok(());
-        }
-        // The healed journal never references more rows than a shard
-        // holds, so running dry here means the fleet changed under us.
-        Err(StoreError::Corrupt {
-            path: self
-                .segments
-                .first()
-                .map_or_else(PathBuf::new, |m| m.path.clone()),
-            offset: 0,
-            detail: "journal references rows past the shard's end".to_string(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,7 +681,6 @@ mod tests {
         StoreConfig {
             rows_per_segment: 8,
             wal_block_rows: 4,
-            verify_on_open: true,
         }
     }
 

@@ -56,10 +56,8 @@ pub mod rebalance;
 pub mod replica;
 pub mod router;
 
-pub use any::{AnyReadView, AnyStats, AnyStore, Layout};
-pub use fleet::{
-    FleetReadView, FleetRecovery, FleetStats, ReplicationReport, ShardRole, ShardStat, ShardedStore,
-};
+pub use any::{AnyStats, AnyStore, Layout};
+pub use fleet::{FleetRecovery, FleetStats, ReplicationReport, ShardRole, ShardStat, ShardedStore};
 pub use hash::{hash_job_id, hash_span, shard_of, MAX_SHARDS};
 pub use manifest::Manifest;
 pub use rebalance::{rebalance, rebalance_with, RebalanceReport};

@@ -244,7 +244,6 @@ mod tests {
         StoreConfig {
             rows_per_segment: 8,
             wal_block_rows: 4,
-            verify_on_open: true,
         }
     }
 

@@ -345,7 +345,6 @@ mod tests {
         StoreConfig {
             rows_per_segment: 4,
             wal_block_rows: 2,
-            verify_on_open: true,
         }
     }
 
@@ -356,7 +355,6 @@ mod tests {
         StoreConfig {
             rows_per_segment: 1024,
             wal_block_rows: 2,
-            verify_on_open: true,
         }
     }
 

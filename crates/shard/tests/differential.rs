@@ -56,7 +56,6 @@ fn cfg() -> StoreConfig {
     StoreConfig {
         rows_per_segment: 32,
         wal_block_rows: 8,
-        verify_on_open: true,
     }
 }
 

@@ -47,7 +47,6 @@ fn cfg() -> StoreConfig {
     StoreConfig {
         rows_per_segment: 16,
         wal_block_rows: 4,
-        verify_on_open: true,
     }
 }
 
@@ -226,7 +225,6 @@ fn leader_wal_rewrite_landing_on_a_frame_boundary_loses_no_rows() {
     let cfg = StoreConfig {
         rows_per_segment: 1024,
         wal_block_rows: 2,
-        verify_on_open: true,
     };
     let logs = jobs(14, 11);
     let root = tmpdir("rewrite_boundary");

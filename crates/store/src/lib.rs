@@ -24,6 +24,7 @@ mod codec;
 mod durable;
 pub mod error;
 pub mod frames;
+pub mod scan;
 pub mod schema;
 pub mod segment;
 pub mod store;
@@ -33,8 +34,9 @@ pub use cache::{CacheStats, SegmentCache};
 pub use codec::crc32;
 pub use durable::durable_replace;
 pub use error::{Result, StoreError};
+pub use scan::StoreReadView;
 pub use segment::{SegmentMeta, ZoneEntry};
 pub use store::{
-    read_segment_with, validate_batch, CompactReport, CompactionTrigger, CounterRange, RangeError,
-    RecoveryReport, ScanSummary, Store, StoreConfig, StoreReadView, StoreStats,
+    validate_batch, CompactReport, CompactionTrigger, CounterRange, RangeError, RecoveryReport,
+    ScanSummary, Store, StoreConfig, StoreStats,
 };

@@ -21,7 +21,7 @@ use serde::Serialize;
 use crate::cache::SegmentCache;
 use crate::error::{Result, StoreError};
 use crate::frames::FrameWriter;
-use crate::schema::counter_column;
+use crate::scan::StoreReadView;
 use crate::segment::{self, SegmentMeta, ZoneEntry};
 use crate::wal::{self, WAL_NAME};
 
@@ -33,9 +33,6 @@ pub struct StoreConfig {
     pub rows_per_segment: usize,
     /// Max rows per WAL block (one frame per ingest chunk).
     pub wal_block_rows: usize,
-    /// Fully checksum-verify every sealed segment when opening; corrupt
-    /// segments are quarantined instead of served.
-    pub verify_on_open: bool,
 }
 
 impl Default for StoreConfig {
@@ -43,7 +40,6 @@ impl Default for StoreConfig {
         StoreConfig {
             rows_per_segment: 8192,
             wal_block_rows: 512,
-            verify_on_open: true,
         }
     }
 }
@@ -239,124 +235,12 @@ pub struct ScanSummary {
     pub rows_matched: usize,
 }
 
-/// Decode one segment, through `cache` when present, raw otherwise.
-/// Either way the result is the fully CRC-verified decode of the file.
-/// Layered stores (the sharded fleet's merge scan) read through this too.
-pub fn read_segment_with(
-    cache: Option<&SegmentCache>,
-    meta: &SegmentMeta,
-) -> Result<Arc<Vec<JobLog>>> {
-    match cache {
-        Some(cache) => cache.read_through(meta),
-        None => segment::read_jobs(&meta.path).map(Arc::new),
-    }
-}
-
 /// Check every row of a batch before any of it is written: each must
 /// pass [`JobLog::validate`] and fit one WAL frame.
 pub fn validate_batch(jobs: &[JobLog]) -> Result<()> {
     jobs.iter()
         .try_for_each(|job| job.validate().and_then(|()| wal::check_fits(job)))
         .map_err(StoreError::Invalid)
-}
-
-/// The zone-mapped filtered scan over explicit parts — shared by
-/// [`Store::scan_filtered`] (borrowing live fields) and
-/// [`StoreReadView::scan_filtered`] (owning a snapshot).
-fn scan_filtered_parts(
-    segments: &[SegmentMeta],
-    tail: &[JobLog],
-    cache: Option<&SegmentCache>,
-    range: &CounterRange,
-    sink: &mut dyn FnMut(&JobLog),
-) -> Result<ScanSummary> {
-    let col = counter_column(range.counter);
-    let mut summary = ScanSummary::default();
-    for meta in segments {
-        let zone = meta.zones.get(col).copied().unwrap_or(ZoneEntry {
-            min: f64::NEG_INFINITY,
-            max: f64::INFINITY,
-        });
-        if !range.overlaps(&zone) {
-            summary.segments_skipped += 1;
-            continue;
-        }
-        summary.segments_scanned += 1;
-        let jobs = read_segment_with(cache, meta)?;
-        for job in jobs.iter() {
-            summary.rows_scanned += 1;
-            if range.matches(job) {
-                summary.rows_matched += 1;
-                sink(job);
-            }
-        }
-    }
-    for job in tail {
-        summary.rows_scanned += 1;
-        if range.matches(job) {
-            summary.rows_matched += 1;
-            sink(job);
-        }
-    }
-    Ok(summary)
-}
-
-/// An owned point-in-time view of a store's readable state: segment
-/// metadata, a copy of the WAL tail, and the cache handle. Cheap to take
-/// (metas + tail clone, no segment decode), and scannable without the
-/// store — the serving layer snapshots one under its ingest lock and
-/// runs the query after dropping it, so a large scan never blocks
-/// ingest. Sealed segments are immutable, so the view stays correct even
-/// if the store ingests, seals or compacts concurrently (a compacted-away
-/// segment's rows are still served from its cached entry or quarantine-
-/// free file until the view is dropped).
-#[derive(Debug, Clone)]
-pub struct StoreReadView {
-    segments: Vec<SegmentMeta>,
-    tail: Vec<JobLog>,
-    cache: Option<Arc<SegmentCache>>,
-}
-
-impl StoreReadView {
-    /// Rows this view serves.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.rows).sum::<usize>() + self.tail.len()
-    }
-
-    /// True when the view holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stream every row in insertion order.
-    pub fn scan(&self, sink: &mut dyn FnMut(&JobLog)) -> Result<()> {
-        for meta in &self.segments {
-            let jobs = read_segment_with(self.cache.as_deref(), meta)?;
-            for job in jobs.iter() {
-                sink(job);
-            }
-        }
-        for job in &self.tail {
-            sink(job);
-        }
-        Ok(())
-    }
-
-    /// Stream rows matching `range` in insertion order, zone-map pruning
-    /// intact — same contract as [`Store::scan_filtered`].
-    pub fn scan_filtered(
-        &self,
-        range: &CounterRange,
-        sink: &mut dyn FnMut(&JobLog),
-    ) -> Result<ScanSummary> {
-        scan_filtered_parts(
-            &self.segments,
-            &self.tail,
-            self.cache.as_deref(),
-            range,
-            sink,
-        )
-    }
 }
 
 /// An open job-log store rooted at one directory.
@@ -410,13 +294,10 @@ impl Store {
 
         let mut metas: Vec<SegmentMeta> = Vec::new();
         for (_, path) in &seg_paths {
-            let verified = segment::load_meta(path).and_then(|meta| {
-                if config.verify_on_open {
-                    segment::read_jobs(path).map(|_| meta)
-                } else {
-                    Ok(meta)
-                }
-            });
+            // Every sealed segment is fully checksum-verified before it is
+            // served; a corrupt one is quarantined instead.
+            let verified =
+                segment::load_meta(path).and_then(|meta| segment::read_jobs(path).map(|_| meta));
             match verified {
                 Ok(meta) => metas.push(meta),
                 Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
@@ -534,26 +415,17 @@ impl Store {
         self.cache = cache;
     }
 
-    /// Decode one sealed segment through the cache (full CRC verification
-    /// on every fill; cache hits skip disk entirely).
-    pub fn read_segment(&self, meta: &SegmentMeta) -> Result<Arc<Vec<JobLog>>> {
-        read_segment_with(self.cache.as_deref(), meta)
+    /// Take an owned [`StoreReadView`] of the current readable state.
+    pub fn read_view(&self) -> StoreReadView<'static> {
+        self.live().into_owned()
     }
 
-    /// Take an owned [`StoreReadView`] of the current readable state.
-    pub fn read_view(&self) -> StoreReadView {
-        StoreReadView {
-            segments: self.segments.clone(),
-            tail: self.tail.clone(),
-            cache: self.cache.clone(),
-        }
+    fn live(&self) -> StoreReadView<'_> {
+        StoreReadView::new([self], None)
     }
 
     /// Rows still in the WAL tail (everything past the last sealed
-    /// segment), in insertion order. Exposed so layered stores — the
-    /// sharded fleet's ordinal-merge scan — can cursor over a shard's
-    /// rows unit by unit (segments, then this slice) without
-    /// materialising the whole store.
+    /// segment), in insertion order.
     pub fn tail_rows(&self) -> &[JobLog] {
         &self.tail
     }
@@ -720,16 +592,7 @@ impl Store {
     /// Stream every row in insertion order. Peak memory is one decoded
     /// segment regardless of store size.
     pub fn scan(&self, sink: &mut dyn FnMut(&JobLog)) -> Result<()> {
-        for meta in &self.segments {
-            let jobs = self.read_segment(meta)?;
-            for job in jobs.iter() {
-                sink(job);
-            }
-        }
-        for job in &self.tail {
-            sink(job);
-        }
-        Ok(())
+        self.live().scan(sink)
     }
 
     /// Stream rows matching `range`, skipping segments whose zone map
@@ -740,13 +603,7 @@ impl Store {
         range: &CounterRange,
         sink: &mut dyn FnMut(&JobLog),
     ) -> Result<ScanSummary> {
-        scan_filtered_parts(
-            &self.segments,
-            &self.tail,
-            self.cache.as_deref(),
-            range,
-            sink,
-        )
+        self.live().scan_filtered(range, sink)
     }
 
     /// Materialise the whole store as an in-memory [`LogDatabase`]
@@ -799,7 +656,6 @@ mod tests {
         StoreConfig {
             rows_per_segment: 16,
             wal_block_rows: 5,
-            verify_on_open: true,
         }
     }
 

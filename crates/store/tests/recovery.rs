@@ -54,7 +54,6 @@ fn cfg(rows_per_segment: usize, wal_block_rows: usize) -> StoreConfig {
     StoreConfig {
         rows_per_segment,
         wal_block_rows,
-        verify_on_open: true,
     }
 }
 

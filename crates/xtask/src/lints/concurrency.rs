@@ -121,7 +121,6 @@ const BLOCKING: &[&str] = &[
     // lock is held across the decode; a guard held across either call
     // would reintroduce exactly that stall.
     "read_segment(",
-    "read_segment_with(",
     "read_through(",
     // Scheduler surface: parking on the control-plane clock and running
     // maintenance tasks (a pull pass, a store compaction, a full
@@ -1588,11 +1587,7 @@ mod tests {
         // Decoding a sealed segment — directly or via the block cache's
         // read-through fill — is file I/O plus checksumming; a guard held
         // across it serializes every reader behind one decode.
-        for op in [
-            "self.read_segment(&meta)",
-            "read_segment_with(&dir, &meta, true)",
-            "cache.read_through(&meta)",
-        ] {
+        for op in ["read_segment(cache, &meta)", "cache.read_through(&meta)"] {
             let src = format!("impl S {{ fn f(&self) {{ let g = self.state.lock(); {op}; }} }}\n");
             let w = ws(&[("crates/a/src/lib.rs", src.as_str())]);
             let sites = analyze(&w);

@@ -47,7 +47,6 @@ fn cfg() -> StoreConfig {
     StoreConfig {
         rows_per_segment: 16,
         wal_block_rows: 4,
-        verify_on_open: true,
     }
 }
 
