@@ -49,7 +49,6 @@ pub mod eval;
 pub mod gauge;
 pub mod merge;
 pub mod model;
-pub mod report_md;
 pub mod rules;
 pub mod service;
 pub mod whatif;
@@ -64,7 +63,6 @@ pub use drift::{DriftDetector, DriftScore};
 pub use eval::{ClassificationReport, ClassificationScorer};
 pub use merge::{average_weights, merge_attributions_average, MergeError, MergeMethod};
 pub use model::{AnyModel, ModelKind};
-pub use report_md::to_markdown;
 pub use rules::{RuleChecker, RuleThresholds};
 pub use service::{AiioService, TrainConfig, TrainError};
 pub use whatif::{WhatIf, WhatIfPrediction};

@@ -284,20 +284,11 @@ pub(crate) fn pull_and_reopen(
     // xtask-allow: AIIO-R002 — intentional hold: the repl mutex exists to
     // serialize pull passes; concurrent passes would interleave staging
     // writes and truncations on the same replica files.
-    // xtask-allow: AIIO-R001 — the repl mutex is acquired only here and
-    // always before the store state; the cycle the cross-crate name
-    // resolution reports runs through the dev-only test proxy crate,
-    // which is never linked into the server.
     let Ok(primary) = repl.lock() else {
         return Err(PullError::Local("replication mutex poisoned".into()));
     };
     let report = aiio_replnet::pull_pass(dir, &primary, cfg)
         .map_err(|e| PullError::Upstream(format!("pull from {} failed: {e}", &*primary)))?;
-    // xtask-allow: AIIO-R001 — the only order in this binary is
-    // repl -> state (pull_and_reopen is the repl mutex's sole user), so
-    // the cycle the cross-crate name resolution sees cannot close at
-    // runtime; the third lock it names lives in the dev-only test
-    // proxy, which is never linked into the server.
     let Ok(mut st) = state.lock() else {
         return Err(PullError::Local("store mutex poisoned".into()));
     };
@@ -352,11 +343,6 @@ pub(crate) fn run_compact(shared: &Shared) -> Result<bool, String> {
     // the store's write order; sealing and compacting rewrite segment
     // files and the WAL, and an append interleaved with that rewrite
     // would corrupt ordinal assignment.
-    // xtask-allow: AIIO-R001 — the cycle the cross-crate name
-    // resolution reports pairs this guard with the worker queue's
-    // internal mutex, but seal and compact are pure store file I/O: no
-    // path from them ever touches the queue, so the cycle cannot close
-    // at runtime.
     st.store
         .seal()
         .and_then(|_| st.store.compact())
@@ -380,11 +366,6 @@ pub(crate) fn run_retrain(shared: &Shared) -> Result<bool, String> {
         return Err("no store attached".to_string());
     };
     let db = {
-        // xtask-allow: AIIO-R001 — the cycle the cross-crate name
-        // resolution reports pairs this guard with the worker queue's
-        // internal mutex, but everything under it is pure store file
-        // I/O (read_all): no path from it ever touches the queue, so
-        // the cycle cannot close at runtime.
         let Ok(st) = state.lock() else {
             return Err("store mutex poisoned".to_string());
         };

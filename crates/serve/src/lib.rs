@@ -659,10 +659,6 @@ fn repl_sync(req: &Request, shared: &Arc<Shared>) -> Response {
         // xtask-allow: AIIO-R002 — intentional hold: the repl mutex
         // serializes pull *and* probe passes; a probe interleaved with a
         // pull would measure lag against half-published files.
-        // xtask-allow: AIIO-R001 — the repl mutex is acquired here and in
-        // control::pull_and_reopen, in both cases before any store state;
-        // the cycle the cross-crate name resolution reports runs through
-        // the dev-only test proxy crate, never linked into the server.
         let Ok(primary) = repl.lock() else {
             return Response::error(500, "replication mutex poisoned");
         };
@@ -871,10 +867,6 @@ fn query_rows(query: &str, shared: &Arc<Shared>) -> Response {
         let Ok(state) = state.lock() else {
             return Response::error(500, "store mutex poisoned");
         };
-        // xtask-allow: AIIO-R002 — only copies segment metadata, the WAL
-        // tail(s) and, on a fleet, the ordinal journal under the guard;
-        // segment bytes are read (through the block cache) by the scan
-        // below, after the guard is gone.
         state.store.read_view()
     };
     let mut rows = String::from("[");

@@ -16,6 +16,10 @@
 //!   calls (`aiio_par::map(..)`) always resolve.
 //! * qualified calls through well-known std types (`Arc::new`,
 //!   `Vec::with_capacity`, …) are left unresolved.
+//! * an empty-argument `.lock()`/`.read()`/`.write()`/`.try_*()` on any
+//!   receiver but `self` is a std lock acquisition: it never resolves to
+//!   a workspace guard helper (`fn lock(&self) -> MutexGuard<…>`), so
+//!   `repl.lock()` does not also "acquire" some other type's private lock.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -39,6 +43,21 @@ pub struct FnNode {
     /// Body byte range within the file's stripped text.
     pub body: Range<usize>,
 }
+
+impl FnNode {
+    /// True for guard-returning helpers (`fn lock(&self) -> MutexGuard<…>`).
+    pub fn returns_guard(&self) -> bool {
+        self.signature.split("->").nth(1).is_some_and(|ret| {
+            ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"]
+                .iter()
+                .any(|g| ret.contains(g))
+        })
+    }
+}
+
+/// Methods that produce a lock guard when called with no arguments
+/// (`io::Read::read(&mut buf)` takes one, so it never matches).
+const GUARD_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Method names never resolved from method-call position (`.name(`):
 /// they collide with std collection/iterator/smart-pointer vocabulary on
@@ -191,7 +210,8 @@ impl CallGraph {
     }
 
     /// Resolve one call site to workspace function indices (possibly
-    /// empty: std/extern calls, denylisted generic method names).
+    /// empty: std/extern calls, denylisted generic method names, std lock
+    /// acquisitions against guard helpers).
     pub fn resolve(&self, call: &CallSite) -> Vec<usize> {
         if call.qualifier.as_deref().is_some_and(is_std_qualifier) {
             return Vec::new();
@@ -199,7 +219,11 @@ impl CallGraph {
         if call.is_method && call.qualifier.is_none() && is_generic_method(&call.name) {
             return Vec::new();
         }
-        self.candidates(&call.name).to_vec()
+        self.candidates(&call.name)
+            .iter()
+            .copied()
+            .filter(|&i| !(call.std_guard && self.nodes[i].returns_guard()))
+            .collect()
     }
 
     /// Resolved callees of node `i`.
@@ -259,6 +283,9 @@ pub struct CallSite {
     pub is_method: bool,
     /// `Qual` of a `Qual::name(` path call, if any.
     pub qualifier: Option<String>,
+    /// True for an empty-argument [`GUARD_METHODS`] call on a receiver
+    /// other than `self`: a std lock acquisition.
+    pub std_guard: bool,
 }
 
 /// Every `ident(` / `.ident(` / `Qual::ident(` in `text`, excluding
@@ -307,14 +334,28 @@ pub fn call_sites(text: &str) -> Vec<CallSite> {
         } else {
             (false, None)
         };
+        let std_guard = is_method
+            && GUARD_METHODS.contains(&name)
+            && text[i + 1..].trim_start().starts_with(')')
+            && !receiver_is_self(&text[..j - 1]);
         sites.push(CallSite {
             name: name.to_string(),
             at: j,
             is_method,
             qualifier,
+            std_guard,
         });
     }
     sites
+}
+
+/// True when the receiver expression ending `before` (the text up to a
+/// method call's `.`) is the bare word `self`.
+fn receiver_is_self(before: &str) -> bool {
+    before
+        .trim_end()
+        .strip_suffix("self")
+        .is_some_and(|rest| !rest.ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
 }
 
 fn is_std_qualifier(q: &str) -> bool {
@@ -353,6 +394,26 @@ mod tests {
                 ("bar", true, None),
                 ("baz", false, Some("mod_a")),
                 ("new", false, Some("Vec")),
+            ]
+        );
+    }
+
+    #[test]
+    fn std_guard_marks_empty_lock_calls_off_self() {
+        let sites =
+            call_sites("m.lock(); self.lock(); myself.read(); f.read(&mut b); self.a.write();");
+        let marked: Vec<(&str, bool)> = sites
+            .iter()
+            .map(|s| (s.name.as_str(), s.std_guard))
+            .collect();
+        assert_eq!(
+            marked,
+            vec![
+                ("lock", true),
+                ("lock", false),
+                ("read", true),
+                ("read", false),
+                ("write", true),
             ]
         );
     }

@@ -87,12 +87,8 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
     ]
 }
 
-/// Run every lint against the workspace rooted at `root`.
-///
-/// The panic-hygiene pass is ratcheted: its raw counts are compared
-/// against `crates/xtask/panic-baseline.txt` (when present) and only
-/// regressions become findings. All other passes report every unwaived
-/// site.
+/// Run every lint against the workspace rooted at `root`. Every pass
+/// reports every unwaived site.
 pub fn run_all(root: &Path) -> Result<Vec<Finding>, String> {
     let ws =
         Workspace::load(root).map_err(|e| format!("failed to scan {}: {e}", root.display()))?;

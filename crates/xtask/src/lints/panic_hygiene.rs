@@ -3,39 +3,20 @@
 //!
 //! A diagnosis *service* (the ROADMAP's north star) must degrade
 //! gracefully on malformed logs, not abort; panics in library crates are
-//! therefore forbidden. The pre-existing violations are recorded in a
-//! checked-in ratchet file (`crates/xtask/panic-baseline.txt`): counts may
-//! only go down. New code must use `Result` and contextual errors.
+//! therefore forbidden, and every unwaived site is a finding. Library
+//! code uses `Result` and contextual errors.
 //!
 //! Rules: `AIIO-P001` = `.unwrap()`, `AIIO-P002` = `.expect(`,
 //! `AIIO-P003` = `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
 //! `#[cfg(test)]` items, `tests/`, and `benches/` are allowlisted
 //! (never scanned); `debug_assert*` is deliberately allowed.
 
-use crate::lints::ratchet;
 use crate::source::{SourceFile, Workspace};
 use crate::{Finding, Lint};
-use std::collections::BTreeMap;
-use std::path::Path;
-
-/// Workspace-relative path of the ratchet file.
-pub const BASELINE_PATH: &str = "crates/xtask/panic-baseline.txt";
-
-/// Counts per `(file, rule)`.
-pub use crate::lints::ratchet::Baseline;
 
 /// The panic-hygiene pass.
 #[derive(Debug, Default)]
 pub struct PanicHygieneLint;
-
-/// One raw panic site (before the ratchet is applied).
-#[derive(Debug)]
-pub struct PanicSite {
-    pub file: String,
-    pub line: usize,
-    pub rule: &'static str,
-    pub what: &'static str,
-}
 
 impl Lint for PanicHygieneLint {
     fn name(&self) -> &'static str {
@@ -43,54 +24,20 @@ impl Lint for PanicHygieneLint {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic in library code (ratcheted against panic-baseline.txt)"
+        "no unwrap/expect/panic in library code"
     }
 
     fn run(&self, ws: &Workspace) -> Vec<Finding> {
-        let baseline = load_baseline(&ws.root);
-        let sites = scan(ws);
-        let mut counts: Baseline = BTreeMap::new();
-        let mut first_excess: BTreeMap<(String, String), &PanicSite> = BTreeMap::new();
-        for site in &sites {
-            let key = (site.file.clone(), site.rule.to_string());
-            let n = counts.entry(key.clone()).or_insert(0);
-            *n += 1;
-            let allowed = baseline.get(&key).copied().unwrap_or(0);
-            if *n == allowed + 1 {
-                first_excess.insert(key, site);
-            }
-        }
         let mut findings = Vec::new();
-        for (key, site) in first_excess {
-            let found = counts.get(&key).copied().unwrap_or(0);
-            let allowed = baseline.get(&key).copied().unwrap_or(0);
-            if found > allowed {
-                findings.push(Finding {
-                    file: site.file.clone(),
-                    line: site.line,
-                    rule: site.rule,
-                    message: format!(
-                        "{} in library code: {found} site(s), baseline allows {allowed} (first new site shown)",
-                        site.what
-                    ),
-                    hint: "return Result with a contextual error instead; the baseline only ratchets down (regenerate with `cargo run -p xtask -- check --baseline write` after removing sites)",
-                });
-            }
+        for file in &ws.files {
+            scan_file(file, &mut findings);
         }
+        findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         findings
     }
 }
 
-/// All panic sites in library code, in file order.
-pub fn scan(ws: &Workspace) -> Vec<PanicSite> {
-    let mut sites = Vec::new();
-    for file in &ws.files {
-        scan_file(file, &mut sites);
-    }
-    sites
-}
-
-fn scan_file(file: &SourceFile, sites: &mut Vec<PanicSite>) {
+fn scan_file(file: &SourceFile, findings: &mut Vec<Finding>) {
     let patterns: [(&str, &str, &str); 6] = [
         (".unwrap()", "AIIO-P001", "`.unwrap()`"),
         (".expect(", "AIIO-P002", "`.expect()`"),
@@ -116,39 +63,13 @@ fn scan_file(file: &SourceFile, sites: &mut Vec<PanicSite>) {
             if file.is_test_code(line) || file.is_waived(line, rule) {
                 continue;
             }
-            sites.push(PanicSite {
+            findings.push(Finding {
                 file: file.rel.clone(),
                 line,
                 rule,
-                what,
+                message: format!("{what} in library code"),
+                hint: "return Result with a contextual error instead",
             });
         }
     }
-    sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-}
-
-/// Load the ratchet file; missing file means an empty baseline.
-pub fn load_baseline(root: &Path) -> Baseline {
-    ratchet::load(root, BASELINE_PATH)
-}
-
-/// Render the current counts as ratchet-file contents.
-pub fn render_baseline(ws: &Workspace) -> String {
-    ratchet::render(
-        "# Panic-hygiene ratchet: allowed unwrap/expect/panic sites per library file.\n\
-         # Counts may only decrease. Regenerate with:\n\
-         #   cargo run -p xtask -- check --baseline write\n\
-         # format: <count> <rule> <file>\n",
-        &counts(ws),
-    )
-}
-
-/// True when the current tree has fewer sites than the baseline somewhere
-/// (the ratchet can be tightened).
-pub fn can_tighten(ws: &Workspace) -> bool {
-    ratchet::can_tighten(&load_baseline(&ws.root), &counts(ws))
-}
-
-fn counts(ws: &Workspace) -> Baseline {
-    ratchet::tally(scan(ws).into_iter().map(|s| (s.file, s.rule.to_string())))
 }

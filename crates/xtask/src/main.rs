@@ -7,11 +7,6 @@
 //! * `--format json` — one JSON object per finding on stdout (rule, file,
 //!   line, message, hint); human status lines move to stderr so the stream
 //!   stays machine-parseable.
-//! * `--strict` — additionally fail when any ratchet baseline still
-//!   carries entries without an explicit `# ratchet-intent:` marker. CI
-//!   runs in this mode: a baseline is a debt ledger, not a mute button.
-//! * `--baseline write` — regenerate both ratchet files (panic hygiene
-//!   and concurrency) instead of checking.
 //!
 //! `cargo run -p xtask -- annotate` reads `--format json` findings from
 //! stdin and emits GitHub Actions `::error` workflow commands, one per
@@ -22,7 +17,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use serde_json::Value;
-use xtask::lints::{concurrency, panic_hygiene, ratchet};
 use xtask::source::Workspace;
 use xtask::{all_lints, Finding};
 
@@ -40,13 +34,7 @@ fn main() -> ExitCode {
     };
     match cmd {
         "check" => match parse_check(rest) {
-            Some((root, format, strict, write)) => {
-                if write {
-                    write_baselines(&root)
-                } else {
-                    check(&root, format, strict)
-                }
-            }
+            Some((root, format)) => check(&root, format),
             None => usage(),
         },
         "annotate" => annotate(),
@@ -55,9 +43,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cargo run -p xtask -- check [--root DIR] [--format text|json] [--strict] [--baseline write]"
-    );
+    eprintln!("usage: cargo run -p xtask -- check [--root DIR] [--format text|json]");
     eprintln!(
         "       cargo run -p xtask -- annotate   (JSON findings on stdin -> ::error commands)"
     );
@@ -69,11 +55,9 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_check(rest: &[&str]) -> Option<(PathBuf, Format, bool, bool)> {
+fn parse_check(rest: &[&str]) -> Option<(PathBuf, Format)> {
     let mut root = workspace_root();
     let mut format = Format::Text;
-    let mut strict = false;
-    let mut write = false;
     let mut it = rest.iter();
     while let Some(&flag) = it.next() {
         match flag {
@@ -85,17 +69,10 @@ fn parse_check(rest: &[&str]) -> Option<(PathBuf, Format, bool, bool)> {
                     _ => return None,
                 }
             }
-            "--strict" => strict = true,
-            "--baseline" => {
-                if *it.next()? != "write" {
-                    return None;
-                }
-                write = true;
-            }
             _ => return None,
         }
     }
-    Some((root, format, strict, write))
+    Some((root, format))
 }
 
 /// The workspace root: two levels above this crate's manifest.
@@ -104,7 +81,7 @@ fn workspace_root() -> PathBuf {
     raw.canonicalize().unwrap_or(raw)
 }
 
-fn check(root: &Path, format: Format, strict: bool) -> ExitCode {
+fn check(root: &Path, format: Format) -> ExitCode {
     let ws = match Workspace::load(root) {
         Ok(ws) => ws,
         Err(e) => {
@@ -124,19 +101,6 @@ fn check(root: &Path, format: Format, strict: bool) -> ExitCode {
         ));
         findings.extend(found);
     }
-    if panic_hygiene::can_tighten(&ws) || concurrency::can_tighten(&ws) {
-        status.push_str(
-            "note: ratchet sites dropped below a baseline — tighten with `cargo run -p xtask -- check --baseline write`\n",
-        );
-    }
-    let mut strict_errors: Vec<String> = Vec::new();
-    if strict {
-        for rel in [panic_hygiene::BASELINE_PATH, concurrency::BASELINE_PATH] {
-            if let Err(e) = ratchet::strict_ok(root, rel) {
-                strict_errors.push(e);
-            }
-        }
-    }
     match format {
         Format::Text => {
             print!("{status}");
@@ -147,29 +111,19 @@ fn check(root: &Path, format: Format, strict: bool) -> ExitCode {
                 }
                 println!();
             }
-            for e in &strict_errors {
-                println!("strict: {e}");
-            }
-            if findings.is_empty() && strict_errors.is_empty() {
+            if findings.is_empty() {
                 println!(
                     "xtask check: all invariants hold ({} files scanned)",
                     ws.files.len()
                 );
             } else {
-                println!(
-                    "xtask check: {} finding(s), {} strict violation(s)",
-                    findings.len(),
-                    strict_errors.len()
-                );
+                println!("xtask check: {} finding(s)", findings.len());
             }
         }
         Format::Json => {
             // Status goes to stderr: stdout carries exactly one JSON
             // object per finding so it pipes into `annotate` (or jq).
             eprint!("{status}");
-            for e in &strict_errors {
-                eprintln!("strict: {e}");
-            }
             for finding in &findings {
                 match serde_json::to_string(&finding_json(finding)) {
                     Ok(line) => println!("{line}"),
@@ -178,7 +132,7 @@ fn check(root: &Path, format: Format, strict: bool) -> ExitCode {
             }
         }
     }
-    if findings.is_empty() && strict_errors.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -230,37 +184,5 @@ fn annotate() -> ExitCode {
         emitted += 1;
     }
     eprintln!("xtask annotate: {emitted} annotation(s)");
-    ExitCode::SUCCESS
-}
-
-fn write_baselines(root: &Path) -> ExitCode {
-    let ws = match Workspace::load(root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("xtask: failed to scan {}: {e}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    for (rel, contents) in [
-        (
-            panic_hygiene::BASELINE_PATH,
-            panic_hygiene::render_baseline(&ws),
-        ),
-        (
-            concurrency::BASELINE_PATH,
-            concurrency::render_baseline(&ws),
-        ),
-    ] {
-        let path = root.join(rel);
-        if let Err(e) = std::fs::write(&path, &contents) {
-            eprintln!("xtask: failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        let sites = contents
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-            .count();
-        println!("wrote {} ({sites} ratchet entries)", path.display());
-    }
     ExitCode::SUCCESS
 }

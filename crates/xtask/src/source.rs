@@ -105,8 +105,6 @@ impl SourceFile {
 /// plus the root façade's `src/`.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Workspace root directory.
-    pub root: PathBuf,
     /// All scanned files, sorted by relative path for stable output.
     pub files: Vec<SourceFile>,
 }
@@ -136,10 +134,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 
     /// Build a workspace from in-memory sources (rel-path, contents)
@@ -151,10 +146,7 @@ impl Workspace {
             .map(|(rel, raw)| SourceFile::new(rel, raw))
             .collect();
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Workspace {
-            root: PathBuf::new(),
-            files,
-        }
+        Workspace { files }
     }
 
     /// Look up a file by its workspace-relative path.

@@ -199,28 +199,6 @@ fn json_findings_round_trip_through_annotate() {
 }
 
 #[test]
-fn strict_mode_rejects_unratcheted_baseline_entries() {
-    use xtask::lints::ratchet;
-
-    let dir = std::env::temp_dir().join("xtask-strict-test");
-    let baseline = dir.join("baseline.txt");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-
-    std::fs::write(&baseline, "# header only\n").expect("write empty baseline");
-    assert!(ratchet::strict_ok(&dir, "baseline.txt").is_ok());
-
-    std::fs::write(&baseline, "3 AIIO-R002 crates/serve/src/lib.rs\n").expect("write entries");
-    assert!(ratchet::strict_ok(&dir, "baseline.txt").is_err());
-
-    std::fs::write(
-        &baseline,
-        "# ratchet-intent: serve holds are tracked in #42\n3 AIIO-R002 crates/serve/src/lib.rs\n",
-    )
-    .expect("write ratcheted entries");
-    assert!(ratchet::strict_ok(&dir, "baseline.txt").is_ok());
-}
-
-#[test]
 fn recorder_union_covers_multi_emitter_schemas() {
     use xtask::lints::counter_schema::{CounterSchemaLint, SchemaPaths};
     use xtask::Lint;
@@ -258,7 +236,7 @@ fn recorder_union_covers_multi_emitter_schemas() {
 
 #[test]
 fn serve_crate_is_inside_the_lint_perimeter() {
-    // The serving layer is library code: the panic-hygiene ratchet, float
+    // The serving layer is library code: the panic-hygiene, float
     // safety and determinism lints must scan it like every other crate,
     // including the HTTP wire module it re-exports from aiio-replnet.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
