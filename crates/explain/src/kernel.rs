@@ -51,6 +51,38 @@ fn binomial(n: usize, r: usize) -> f64 {
     v
 }
 
+/// The attributions of the `k` active features from the coalition values
+/// `fvals` (one per mask), by a weighted least squares with the sum
+/// constraint `Σφ = fx − expected` enforced through eliminating the last
+/// variable:
+///   `y_S - z_last (fx - f0)  =  Σ_{j<k-1} φ_j (z_j - z_last)`.
+fn constrained_wls(
+    k: usize,
+    masks: &[usize],
+    weights: &[f64],
+    fvals: &[f64],
+    fx: f64,
+    expected: f64,
+) -> Vec<f64> {
+    let delta = fx - expected;
+    let p = k - 1;
+    let mut design = Matrix::zeros(masks.len(), p);
+    let mut target = vec![0.0; masks.len()];
+    for (r, &mask) in masks.iter().enumerate() {
+        let z_last = (mask >> (k - 1) & 1) as f64;
+        for j in 0..p {
+            let z_j = (mask >> j & 1) as f64;
+            design[(r, j)] = z_j - z_last;
+        }
+        target[r] = (fvals[r] - expected) - z_last * delta;
+    }
+    let mut phi_active =
+        weighted_least_squares(&design, &target, weights, 0.0).unwrap_or_else(|_| vec![0.0; p]);
+    let last = delta - phi_active.iter().sum::<f64>();
+    phi_active.push(last);
+    phi_active
+}
+
 /// Kernel SHAP explainer.
 ///
 /// ```
@@ -109,33 +141,12 @@ impl KernelShap {
             return Attribution { values, expected };
         }
 
-        // Collect coalitions (as bitmasks over the active set) and weights.
-        let (masks, weights) = self.coalitions(k);
-
-        // Evaluate the model at every coalition (bit-identical at any
+        // Collect coalitions (as bitmasks over the active set) and weights,
+        // then evaluate each distinct coalition once (bit-identical at any
         // thread count; see `Predictor::predict_coalitions`).
-        let fvals = model.predict_coalitions(x, background, &active, &masks);
-
-        // Constrained WLS by eliminating the last variable:
-        //   y_S - z_last (fx - f0)  =  Σ_{j<k-1} φ_j (z_j - z_last)
-        let delta = fx - expected;
-        let p = k - 1;
-        let mut design = Matrix::zeros(masks.len(), p);
-        let mut target = vec![0.0; masks.len()];
-        for (r, &mask) in masks.iter().enumerate() {
-            let z_last = (mask >> (k - 1) & 1) as f64;
-            for j in 0..p {
-                let z_j = (mask >> j & 1) as f64;
-                design[(r, j)] = z_j - z_last;
-            }
-            target[r] = (fvals[r] - expected) - z_last * delta;
-        }
-        let beta = weighted_least_squares(&design, &target, &weights, 0.0)
-            .unwrap_or_else(|_| vec![0.0; p]);
-        let mut phi_active = beta;
-        let last = delta - phi_active.iter().sum::<f64>();
-        phi_active.push(last);
-
+        let (masks, weights) = self.coalitions(k);
+        let fvals = crate::predict_distinct_coalitions(model, x, background, &active, &masks);
+        let phi_active = constrained_wls(k, &masks, &weights, &fvals, fx, expected);
         for (bit, &feat) in active.iter().enumerate() {
             values[feat] = phi_active[bit];
         }
@@ -291,6 +302,34 @@ mod tests {
         }
         // Local accuracy still exact thanks to the constraint.
         assert!((got.reconstructed() - f.predict_one(&x)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_distinct_coalition_is_evaluated_once_with_every_mask_bits() {
+        use crate::tests::{distinct, Counting};
+        // 14 active features and a 600-evaluation budget: sampled, with
+        // repeats; 5 features: full enumeration, no repeats.
+        for (k, max_evals, seed) in [(14, 600, 3), (14, 600, 4), (5, 2048, 0)] {
+            let x: Vec<f64> = (0..k).map(|i| 0.3 + 0.2 * i as f64).collect();
+            let bg = vec![0.0; k];
+            let ks = KernelShap::new(KernelShapConfig { max_evals, seed });
+            let model = Counting::default();
+            let got = ks.explain(&model, &x, &bg);
+
+            let (masks, weights) = ks.coalitions(k);
+            let once = distinct(&masks);
+            assert_eq!(model.seen(), once, "each distinct mask exactly once");
+            if k == 14 {
+                assert!(once.len() < masks.len(), "the sample should repeat masks");
+            }
+            // The same WLS over every mask's own evaluation.
+            let active: Vec<usize> = (0..k).collect();
+            let fvals = model.predict_coalitions(&x, &bg, &active, &masks);
+            let fx = model.predict_one(&x);
+            let want = constrained_wls(k, &masks, &weights, &fvals, fx, got.expected);
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.values), bits(&want));
+        }
     }
 
     #[test]

@@ -55,6 +55,14 @@ pub fn sparsity_mask(x: &[f64], background: &[f64]) -> Vec<usize> {
 }
 
 /// A model that can be explained: batch prediction over raw feature rows.
+///
+/// Contract: a row's prediction depends only on that row — not on the
+/// batch it arrives in, its position there, or the other rows. The
+/// explainers rely on it twice: batches are split over threads at any
+/// boundary, and each distinct coalition is evaluated once, in mask
+/// order, with its value reused wherever the coalition repeats (see
+/// `predict_distinct_coalitions`). `aiio-nn`'s `tests/inference.rs`
+/// and [`booster`]'s tests check it for the workspace's models.
 pub trait Predictor: Sync {
     /// Predict a batch of rows.
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64>;
@@ -107,6 +115,33 @@ pub fn predict_coalition_rows<P: Predictor + ?Sized>(
         })
         .collect();
     aiio_par::map_chunks(&rows, |chunk| model.predict_batch(chunk))
+}
+
+/// [`Predictor::predict_coalitions`] with each distinct mask evaluated
+/// once: the masks are sorted and deduplicated, the distinct ones are
+/// predicted, and the values are scattered back to every position of
+/// `masks`. By the [`Predictor`] contract the result has the same bits as
+/// predicting every mask; sampled Kernel SHAP and LIME masks repeat often
+/// enough for this to save model evaluations.
+pub(crate) fn predict_distinct_coalitions(
+    model: &dyn Predictor,
+    x: &[f64],
+    background: &[f64],
+    active: &[usize],
+    masks: &[usize],
+) -> Vec<f64> {
+    let mut distinct = masks.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let fvals = model.predict_coalitions(x, background, active, &distinct);
+    masks
+        .iter()
+        .map(|mask| {
+            // Every mask is in `distinct`, so the search always hits.
+            let (Ok(i) | Err(i)) = distinct.binary_search(mask);
+            fvals[i]
+        })
+        .collect()
 }
 
 /// Refuse more active features than a coalition mask has bits.
@@ -166,6 +201,71 @@ impl Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// A nonlinear model that records every coalition mask it evaluates.
+    #[derive(Default)]
+    pub(crate) struct Counting {
+        pub(crate) seen: Mutex<Vec<usize>>,
+    }
+
+    impl Counting {
+        fn f(x: &[f64]) -> f64 {
+            x.iter()
+                .enumerate()
+                .map(|(i, v)| (i as f64 + 1.0) * v.sin())
+                .sum::<f64>()
+                + x[0] * x[1]
+                - x[2] * x[3] * x[4]
+        }
+
+        /// The recorded masks, in evaluation order.
+        pub(crate) fn seen(&self) -> Vec<usize> {
+            self.seen.lock().map(|s| s.clone()).unwrap_or_default()
+        }
+    }
+
+    impl Predictor for Counting {
+        fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+            rows.iter().map(|r| Self::f(r)).collect()
+        }
+
+        fn predict_coalitions(
+            &self,
+            x: &[f64],
+            background: &[f64],
+            active: &[usize],
+            masks: &[usize],
+        ) -> Vec<f64> {
+            if let Ok(mut seen) = self.seen.lock() {
+                seen.extend_from_slice(masks);
+            }
+            predict_coalition_rows(self, x, background, active, masks)
+        }
+    }
+
+    /// `masks` sorted and deduplicated.
+    pub(crate) fn distinct(masks: &[usize]) -> Vec<usize> {
+        let mut d = masks.to_vec();
+        d.sort_unstable();
+        d.dedup();
+        d
+    }
+
+    #[test]
+    fn distinct_coalitions_scatter_back_to_every_position() {
+        let x = [0.5, 1.5, -2.0, 3.0, 0.25];
+        let bg = [0.0; 5];
+        let active = [0, 1, 2, 3, 4];
+        let masks = [7, 0, 31, 7, 3, 0, 31, 3, 3, 16];
+        let model = Counting::default();
+        let got = predict_distinct_coalitions(&model, &x, &bg, &active, &masks);
+        assert_eq!(model.seen(), vec![0, 3, 7, 16, 31]);
+        let every = predict_coalition_rows(&model, &x, &bg, &active, &masks);
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&every));
+        assert!(predict_distinct_coalitions(&model, &x, &bg, &active, &[]).is_empty());
+    }
 
     #[test]
     fn fn_predictor_wraps_closures() {

@@ -81,18 +81,36 @@ impl Lime {
             return Attribution { values, expected };
         }
 
+        let masks = self.masks(k);
+        let fvals = crate::predict_distinct_coalitions(model, x, background, &active, &masks);
+        let beta = self.surrogate(k, &masks, &fvals);
+        for (j, &feat) in active.iter().enumerate() {
+            values[feat] = beta[j + 1];
+        }
+        // LIME's natural "expected" is its intercept; we keep the model's
+        // background prediction for comparability with SHAP outputs.
+        Attribution { values, expected }
+    }
+
+    /// Perturbation masks over `k` active features (bit `j` = active
+    /// feature `j` on): the full point, the empty point, then uniform
+    /// random draws up to `n_samples`.
+    fn masks(&self, k: usize) -> Vec<usize> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let n = self.config.n_samples.max(k + 2);
-        // Coalition masks (bit `j` = active feature `j` on); always include
-        // the full point and the empty point.
         let mut masks: Vec<usize> = Vec::with_capacity(n);
         masks.push(usize::MAX >> (usize::BITS as usize - k));
         masks.push(0);
         for _ in 2..n {
             masks.push((0..k).fold(0, |m, j| m | usize::from(rng.gen_bool(0.5)) << j));
         }
-        let fvals = model.predict_coalitions(x, background, &active, &masks);
+        masks
+    }
 
+    /// The local surrogate over the perturbations `masks` and their model
+    /// values `fvals`: intercept first, then one coefficient per active
+    /// feature.
+    fn surrogate(&self, k: usize, masks: &[usize], fvals: &[f64]) -> Vec<f64> {
         // Proximity weights: distance = fraction of switched-off features.
         let weights: Vec<f64> = masks
             .iter()
@@ -110,15 +128,8 @@ impl Lime {
                 design[(r, j + 1)] = (mask >> j & 1) as f64;
             }
         }
-        let beta = weighted_least_squares(&design, &fvals, &weights, self.config.ridge)
-            .unwrap_or_else(|_| vec![0.0; k + 1]);
-
-        for (j, &feat) in active.iter().enumerate() {
-            values[feat] = beta[j + 1];
-        }
-        // LIME's natural "expected" is its intercept; we keep the model's
-        // background prediction for comparability with SHAP outputs.
-        Attribution { values, expected }
+        weighted_least_squares(&design, fvals, &weights, self.config.ridge)
+            .unwrap_or_else(|_| vec![0.0; k + 1])
     }
 }
 
@@ -152,6 +163,33 @@ mod tests {
         let a = Lime::default().explain(&f, &x, &[0.0; 3]);
         let b = Lime::default().explain(&f, &x, &[0.0; 3]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn each_distinct_perturbation_is_evaluated_once_with_every_mask_bits() {
+        use crate::tests::{distinct, Counting};
+        // 5 active features: at most 32 distinct masks among 1024 samples;
+        // 20 features: nearly every sample distinct.
+        for k in [5, 20] {
+            let x: Vec<f64> = (0..k).map(|i| 0.3 + 0.2 * i as f64).collect();
+            let bg = vec![0.0; k];
+            let lime = Lime::default();
+            let model = Counting::default();
+            let got = lime.explain(&model, &x, &bg);
+
+            let masks = lime.masks(k);
+            let once = distinct(&masks);
+            assert_eq!(model.seen(), once, "each distinct mask exactly once");
+            if k == 5 {
+                assert_eq!(once.len(), 32);
+            }
+            // The same surrogate over every mask's own evaluation.
+            let active: Vec<usize> = (0..k).collect();
+            let fvals = model.predict_coalitions(&x, &bg, &active, &masks);
+            let beta = lime.surrogate(k, &masks, &fvals);
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.values), bits(&beta[1..]));
+        }
     }
 
     #[test]

@@ -57,20 +57,35 @@ pub fn softmax(z: &[f64]) -> Vec<f64> {
 /// which is what gives TabNet's masks their feature-selection behaviour.
 ///
 /// Returns a vector `p` with `p_i >= 0`, `Σ p_i = 1`, and `p_i = 0` outside
-/// the support.
+/// the support. See [`sparsemax_in_place`] for the allocation-free form.
 pub fn sparsemax(z: &[f64]) -> Vec<f64> {
-    let k = z.len();
-    if k == 0 {
-        return Vec::new();
+    let mut p = z.to_vec();
+    sparsemax_in_place(&mut p, &mut Vec::new());
+    p
+}
+
+/// [`sparsemax`] of `row`, written over `row`. `keys` is scratch space the
+/// caller keeps across rows so a batch of rows allocates once.
+///
+/// The support search walks the values in descending [`f64::total_cmp`]
+/// order. Each value is sorted as its `total_cmp` key, an `i64` whose
+/// integer order is that order; equal keys are equal bits, so an unstable
+/// integer sort yields the same value sequence, and the same cumulative
+/// sums, as a stable float sort.
+pub fn sparsemax_in_place(row: &mut [f64], keys: &mut Vec<i64>) {
+    if row.is_empty() {
+        return;
     }
-    // Sort descending, find the support size via the threshold condition
-    // 1 + j*z_(j) > Σ_{i<=j} z_(i).
-    let mut sorted: Vec<f64> = z.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
+    keys.clear();
+    keys.extend(row.iter().map(|&x| total_order_key(x)));
+    keys.sort_unstable();
+    // Find the support size via the threshold condition
+    // 1 + j*z_(j) > Σ_{i<=j} z_(i) over the values in descending order.
     let mut cumsum = 0.0;
     let mut support = 0;
     let mut support_sum = 0.0;
-    for (j, &zj) in sorted.iter().enumerate() {
+    for (j, &key) in keys.iter().rev().enumerate() {
+        let zj = from_total_order_key(key);
         cumsum += zj;
         let jf = (j + 1) as f64;
         if 1.0 + jf * zj > cumsum {
@@ -79,7 +94,24 @@ pub fn sparsemax(z: &[f64]) -> Vec<f64> {
         }
     }
     let tau = (support_sum - 1.0) / support as f64;
-    z.iter().map(|&x| (x - tau).max(0.0)).collect()
+    for x in row.iter_mut() {
+        *x = (*x - tau).max(0.0);
+    }
+}
+
+/// The key [`f64::total_cmp`] compares: flipping the magnitude bits of
+/// negative values makes the signed integer order the total float order.
+#[inline]
+fn total_order_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64 >> 1) as i64)
+}
+
+/// Inverse of [`total_order_key`] (the flip is its own inverse: the sign
+/// bit it reads is never flipped).
+#[inline]
+fn from_total_order_key(k: i64) -> f64 {
+    f64::from_bits((k ^ (((k >> 63) as u64 >> 1) as i64)) as u64)
 }
 
 /// Jacobian-vector product of sparsemax at output `p` applied to upstream
@@ -219,6 +251,108 @@ mod tests {
         let jvp = sparsemax_jvp(&p, &g);
         for (a, b) in fd.iter().zip(&jvp) {
             assert!((a - b).abs() < 1e-5, "fd {fd:?} vs jvp {jvp:?}");
+        }
+    }
+
+    /// Reference sparsemax: a stable descending `total_cmp` sort of a
+    /// copied row, which the integer-key sort must match bit for bit.
+    fn sparsemax_stable_sort(z: &[f64]) -> Vec<f64> {
+        let k = z.len();
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut sorted: Vec<f64> = z.to_vec();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        let mut cumsum = 0.0;
+        let mut support = 0;
+        let mut support_sum = 0.0;
+        for (j, &zj) in sorted.iter().enumerate() {
+            cumsum += zj;
+            let jf = (j + 1) as f64;
+            if 1.0 + jf * zj > cumsum {
+                support = j + 1;
+                support_sum = cumsum;
+            }
+        }
+        let tau = (support_sum - 1.0) / support as f64;
+        z.iter().map(|&x| (x - tau).max(0.0)).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn total_order_keys_sort_like_total_cmp_and_round_trip() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for w in vals.windows(2) {
+            assert!(total_order_key(w[0]) < total_order_key(w[1]), "{w:?}");
+        }
+        for &v in &vals {
+            assert_eq!(
+                from_total_order_key(total_order_key(v)).to_bits(),
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn integer_key_sparsemax_is_bit_identical_to_the_stable_sort() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(24);
+        let mut keys = Vec::new();
+        let mut check = |z: &[f64]| {
+            let mut row = z.to_vec();
+            sparsemax_in_place(&mut row, &mut keys);
+            assert_eq!(bits(&row), bits(&sparsemax_stable_sort(z)), "z = {z:?}");
+            assert_eq!(bits(&sparsemax(z)), bits(&row), "z = {z:?}");
+        };
+        // Fixed edge cases: one element, all equal, signed zeros, subnormals,
+        // large magnitudes, and ties straddling the support threshold.
+        let fixed: [&[f64]; 10] = [
+            &[],
+            &[0.3],
+            &[-7.5],
+            &[0.25; 46],
+            &[0.0, -0.0, 0.0, -0.0],
+            &[-0.0, 1.0, 0.0, 1.0, -0.0],
+            &[5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.0],
+            &[1e300, -1e300, 1e308, -1e308, 1.0],
+            &[0.5, 0.5, 0.5, 0.1, 0.1, -0.1],
+            &[1.0, 1.0, 0.0, 0.0, 0.0],
+        ];
+        for z in fixed {
+            check(z);
+        }
+        // Random rows drawn from small value pools (many ties) and from
+        // wide ranges, at TabNet's width and others.
+        let pool = [
+            0.0, -0.0, 0.5, -0.5, 1.0, 5e-324, -5e-324, 1e300, -1e300, 0.125,
+        ];
+        for case in 0..2000 {
+            let len = rng.gen_range(1..64);
+            let z: Vec<f64> = (0..len)
+                .map(|_| match case % 4 {
+                    0 => pool[rng.gen_range(0..pool.len())],
+                    1 => rng.gen_range(-3.0..3.0),
+                    2 => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-320..300)),
+                    _ => f64::from_bits(rng.gen::<u64>() & !(0x7ffu64 << 52)),
+                })
+                .collect();
+            check(&z);
         }
     }
 

@@ -154,6 +154,40 @@ impl Matrix {
         out
     }
 
+    /// `selfᵀ * other` without building the transpose, for gradient
+    /// products like `xᵀ dy`.
+    ///
+    /// Each output element sums the same products in the same ascending
+    /// `k` order, with the same exact-zero skip, as
+    /// `self.transpose().matmul(other)`, so the bits are the same.
+    ///
+    /// # Panics
+    /// Panics if `self.rows != other.rows`.
+    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.rows, other.rows, "transpose_matmul dimension mismatch");
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        let n = other.cols;
+        // Output rows go in blocks of about 16 KiB, which stay in L1
+        // while every `k` streams past.
+        let block = (2048 / n.max(1)).max(1);
+        for i0 in (0..self.cols).step_by(block) {
+            let i1 = (i0 + block).min(self.cols);
+            for k in 0..self.rows {
+                let b_row = other.row(k);
+                for (i, &a) in (i0..i1).zip(&self.row(k)[i0..i1]) {
+                    // xtask-allow: AIIO-F001 — exact-zero skip, as in `matmul`
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in out.data[i * n..(i + 1) * n].iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// `self * v` for a vector `v`.
     ///
     /// # Panics
@@ -316,6 +350,39 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn transpose_matmul_is_bit_identical_to_transpose_then_matmul() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for (rows, a_cols, b_cols) in [
+            (1, 1, 1),
+            (7, 3, 5),
+            (64, 46, 32),
+            (33, 90, 89),
+            (9, 40, 3000),
+            (5, 0, 4),
+        ] {
+            // Roughly 40% exact zeros (and some negative zeros) in `a`, as
+            // ReLU activations have.
+            let a = Matrix::from_fn(rows, a_cols, |_, _| match rng.gen_range(0..5) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0..2.0),
+            });
+            let b = Matrix::from_fn(rows, b_cols, |_, _| rng.gen_range(-1e3..1e3));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let got = a.transpose_matmul(&b);
+            assert_eq!((got.rows(), got.cols()), (a_cols, b_cols));
+            assert_eq!(bits(&got), bits(&a.transpose().matmul(&b)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose_matmul dimension mismatch")]
+    fn transpose_matmul_rejects_mismatched_shapes() {
+        let _ = Matrix::zeros(2, 3).transpose_matmul(&Matrix::zeros(3, 2));
     }
 
     #[test]

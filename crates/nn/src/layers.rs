@@ -69,7 +69,7 @@ impl Dense {
             .x_cache
             .as_ref()
             .ok_or(DimensionError::BackwardBeforeForward { layer: "dense" })?;
-        self.gw = Some(x.transpose().matmul(dy));
+        self.gw = Some(x.transpose_matmul(dy));
         let mut gb = vec![0.0; dy.cols()];
         for i in 0..dy.rows() {
             for (g, &d) in gb.iter_mut().zip(dy.row(i)) {

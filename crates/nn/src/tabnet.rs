@@ -17,7 +17,7 @@
 use crate::adam::Adam;
 use crate::error::DimensionError;
 use crate::EpochRecord;
-use aiio_linalg::func::{relu, relu_grad, sparsemax, sparsemax_jvp};
+use aiio_linalg::func::{relu, relu_grad, sparsemax_in_place, sparsemax_jvp};
 use aiio_linalg::Matrix;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -263,16 +263,14 @@ impl TabNet {
 
     /// One step's attentive mask: row-wise `sparsemax((a W + b) ⊙ prior)`.
     fn mask(step: &Step, a: &Matrix, prior: &Matrix) -> Matrix {
-        let z = affine(a, &step.attn_w, &step.attn_b);
-        let mut mask = Matrix::zeros(z.rows(), z.cols());
-        for i in 0..z.rows() {
-            let zi: Vec<f64> = z
-                .row(i)
-                .iter()
-                .zip(prior.row(i))
-                .map(|(a, b)| a * b)
-                .collect();
-            mask.row_mut(i).copy_from_slice(&sparsemax(&zi));
+        let mut mask = affine(a, &step.attn_w, &step.attn_b);
+        let mut keys = Vec::with_capacity(mask.cols());
+        for i in 0..mask.rows() {
+            let row = mask.row_mut(i);
+            for (z, &p) in row.iter_mut().zip(prior.row(i)) {
+                *z *= p;
+            }
+            sparsemax_in_place(row, &mut keys);
         }
         mask
     }
@@ -388,17 +386,17 @@ impl TabNet {
         for (si, (step, cache)) in self.steps.iter().zip(&caches).enumerate().rev() {
             // Decision branch.
             let dd_pre = d_agg.zip_map(&cache.d_pre.map(relu_grad), |g, r| g * r);
-            let gdec_w = cache.h.transpose().matmul(&dd_pre);
+            let gdec_w = cache.h.transpose_matmul(&dd_pre);
             let gdec_b = col_sums(&dd_pre);
             let mut dh = dd_pre.matmul(&step.dec_w.transpose());
             // Attention branch (gradient arriving from the next step).
             let da_pre = grad_a.zip_map(&cache.a_pre.map(relu_grad), |g, r| g * r);
-            let gatt_w = cache.h.transpose().matmul(&da_pre);
+            let gatt_w = cache.h.transpose_matmul(&da_pre);
             let gatt_b = col_sums(&da_pre);
             dh.axpy(1.0, &da_pre.matmul(&step.att_w.transpose()));
             // Feature transformer.
             let dh_pre = dh.zip_map(&cache.h_pre.map(relu_grad), |g, r| g * r);
-            let gft_w = cache.xm.transpose().matmul(&dh_pre);
+            let gft_w = cache.xm.transpose_matmul(&dh_pre);
             let gft_b = col_sums(&dh_pre);
             let dxm = dh_pre.matmul(&step.ft_w.transpose());
             // Mask gradient through xm = x ⊙ mask.
@@ -412,7 +410,7 @@ impl TabNet {
                 }
             }
             // Attention linear layer.
-            let gattn_w = cache.a_prev.transpose().matmul(&dz);
+            let gattn_w = cache.a_prev.transpose_matmul(&dz);
             let gattn_b = col_sums(&dz);
             grad_a = dz.matmul(&step.attn_w.transpose());
             grads[si] = Some(StepGrads {
@@ -430,7 +428,7 @@ impl TabNet {
         // Initial projection: a_0 = relu(x P + b).
         let a_pre0 = affine(x, &self.proj_w, &self.proj_b);
         let da0_pre = grad_a.zip_map(&a_pre0.map(relu_grad), |g, r| g * r);
-        let gproj_w = x.transpose().matmul(&da0_pre);
+        let gproj_w = x.transpose_matmul(&da0_pre);
         let gproj_b = col_sums(&da0_pre);
 
         // Apply everything with stable slot ids.

@@ -616,9 +616,6 @@ fn repl_get(req: &Request, shared: &Arc<Shared>) -> Response {
         let Ok(state) = state.lock() else {
             return Response::error(500, "store mutex poisoned");
         };
-        // xtask-allow: AIIO-R002 — only assembles the source's paths and
-        // row counts from the guarded snapshot; the byte serving below
-        // runs on files, after the guard is gone.
         aiio_replnet::ReplSource::of(&state.store)
     };
     aiio_replnet::repl_reply(&src, req.path.trim_start_matches("/repl/"))

@@ -8,7 +8,7 @@
 //! "may acquire lock L") where a false edge costs at most a waivable
 //! finding, never a missed report on a resolved path.
 //!
-//! Two guards keep the over-approximation from drowning the signal:
+//! A few guards keep the over-approximation from drowning the signal:
 //!
 //! * method calls with ubiquitous collection/iterator names (`len`,
 //!   `map`, `iter`, …) are left unresolved — `tail.len()` must not pick
@@ -20,11 +20,19 @@
 //!   receiver but `self` is a std lock acquisition: it never resolves to
 //!   a workspace guard helper (`fn lock(&self) -> MutexGuard<…>`), so
 //!   `repl.lock()` does not also "acquire" some other type's private lock.
+//! * a free `drop(x)` (or `mem::drop(x)`) is the prelude function: it
+//!   never resolves to a workspace `impl Drop` body, which Rust does not
+//!   let code call by name.
+//! * a qualified call `Type::name(` through a workspace type resolves
+//!   only to the `name` fns in `Type`'s `impl` blocks, so
+//!   `ReplSource::of(` does not pick up `Layout::of`. When those blocks
+//!   define no `name` (a trait's default method), it falls back to every
+//!   `name`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use crate::source::{functions, Workspace};
+use crate::source::{functions, impl_type_at, Workspace};
 
 /// One function node: where it lives and what its body spans.
 #[derive(Debug, Clone)]
@@ -36,6 +44,8 @@ pub struct FnNode {
     pub krate: String,
     /// Function name (no path, no generics).
     pub name: String,
+    /// `Self` type of the enclosing `impl` block; `None` for free fns.
+    pub owner: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Signature text (`fn` through the body's `{`).
@@ -154,6 +164,8 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Function indices by name.
     by_name: BTreeMap<String, Vec<usize>>,
+    /// Every workspace type with an `impl` block holding a fn.
+    types: BTreeSet<String>,
     /// Resolved callee indices per node.
     calls: Vec<BTreeSet<usize>>,
 }
@@ -173,6 +185,7 @@ impl CallGraph {
                     file: file.rel.clone(),
                     krate: krate.clone(),
                     name: span.name,
+                    owner: impl_type_at(&file.code, span.start),
                     line,
                     signature: span.signature,
                     body: span.body,
@@ -183,9 +196,11 @@ impl CallGraph {
         for (i, node) in nodes.iter().enumerate() {
             by_name.entry(node.name.clone()).or_default().push(i);
         }
+        let types = nodes.iter().filter_map(|n| n.owner.clone()).collect();
         let mut graph = CallGraph {
             nodes,
             by_name,
+            types,
             calls: Vec::new(),
         };
         graph.calls = graph
@@ -210,16 +225,31 @@ impl CallGraph {
     }
 
     /// Resolve one call site to workspace function indices (possibly
-    /// empty: std/extern calls, denylisted generic method names, std lock
-    /// acquisitions against guard helpers).
+    /// empty: std/extern calls, the prelude `drop`, denylisted generic
+    /// method names, std lock acquisitions against guard helpers).
     pub fn resolve(&self, call: &CallSite) -> Vec<usize> {
-        if call.qualifier.as_deref().is_some_and(is_std_qualifier) {
+        let qualifier = call.qualifier.as_deref();
+        if qualifier.is_some_and(is_std_qualifier) {
             return Vec::new();
         }
-        if call.is_method && call.qualifier.is_none() && is_generic_method(&call.name) {
+        if call.is_method && qualifier.is_none() && is_generic_method(&call.name) {
             return Vec::new();
         }
-        self.candidates(&call.name)
+        if !call.is_method && call.name == "drop" && qualifier.is_none_or(|q| q == "mem") {
+            return Vec::new();
+        }
+        let candidates = self.candidates(&call.name);
+        if let Some(ty) = qualifier.filter(|q| self.types.contains(*q)) {
+            let in_impl: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|&i| self.nodes[i].owner.as_deref() == Some(ty))
+                .collect();
+            if !in_impl.is_empty() {
+                return in_impl;
+            }
+        }
+        candidates
             .iter()
             .copied()
             .filter(|&i| !(call.std_guard && self.nodes[i].returns_guard()))
@@ -441,6 +471,54 @@ mod tests {
         let g = CallGraph::build(&ws);
         let caller = g.nodes.iter().position(|n| n.name == "caller").unwrap();
         assert_eq!(g.callees(caller).len(), 1);
+    }
+
+    #[test]
+    fn free_drop_is_the_prelude_function() {
+        let ws = ws(&[(
+            "crates/a/src/lib.rs",
+            "pub struct W;\nimpl Drop for W { fn drop(&mut self) { std::thread::sleep(d); } }\n\
+             pub fn caller(g: W, h: W) { drop(g); std::mem::drop(h); }\n",
+        )]);
+        let g = CallGraph::build(&ws);
+        let caller = g.nodes.iter().position(|n| n.name == "caller").unwrap();
+        assert!(
+            g.callees(caller).is_empty(),
+            "`drop(x)` must not resolve to the workspace `impl Drop` body"
+        );
+    }
+
+    #[test]
+    fn qualified_calls_through_a_workspace_type_stay_in_its_impls() {
+        let ws = ws(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub struct Layout;\nimpl Layout { pub fn of() -> Layout { connect(); Layout } }\n\
+                 pub fn connect() {}\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "pub struct Source;\nimpl Source { pub fn of() -> Source { Source } }\n\
+                 pub trait Named { fn name() -> u8 { 0 } }\nimpl Named for Source {}\n\
+                 pub fn by_type() -> Source { Source::of() }\n\
+                 pub fn by_path() -> Source { crate::of() }\n\
+                 pub fn by_trait_default() -> u8 { Source::name() }\n",
+            ),
+        ]);
+        let g = CallGraph::build(&ws);
+        let at = |name: &str| g.nodes.iter().position(|n| n.name == name).unwrap();
+        let owners = |caller: &str| -> Vec<Option<&str>> {
+            g.callees(at(caller))
+                .iter()
+                .map(|&i| g.nodes[i].owner.as_deref())
+                .collect()
+        };
+        assert_eq!(owners("by_type"), vec![Some("Source")]);
+        // A module path is not a type: every `of` stays a candidate.
+        assert_eq!(owners("by_path"), vec![Some("Layout"), Some("Source")]);
+        // `Source` defines no `name`: fall back to every `name`, here the
+        // trait's default body (a trait block, so no impl owner).
+        assert_eq!(owners("by_trait_default"), vec![None]);
     }
 
     #[test]

@@ -37,8 +37,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{call_sites, CallGraph};
-use crate::source::{match_brace, SourceFile, Workspace};
+use crate::callgraph::{call_sites, CallGraph, FnNode};
+use crate::source::{find_word, match_brace, occurrences, SourceFile, Workspace};
 use crate::{Finding, Lint};
 
 const HINT_R001: &str = "acquire locks in one global order (document it where the locks are defined) or collapse the critical sections; waive with `// xtask-allow: AIIO-R001 — reason` only with an argument for why the cycle cannot close at runtime";
@@ -278,7 +278,7 @@ fn helper_locks(ws: &Workspace, graph: &CallGraph) -> BTreeMap<usize, Vec<String
         let Some(file) = ws.file(&node.file) else {
             continue;
         };
-        let mut locks: Vec<String> = direct_acquisitions(file, &node.krate, &node.body)
+        let mut locks: Vec<String> = direct_acquisitions(file, node)
             .into_iter()
             .map(|a| a.lock)
             .collect();
@@ -291,15 +291,12 @@ fn helper_locks(ws: &Workspace, graph: &CallGraph) -> BTreeMap<usize, Vec<String
     out
 }
 
-/// Direct guard-producing calls in `body`: the call sites marked
+/// Direct guard-producing calls in `node`'s body: the call sites marked
 /// `std_guard` (empty-argument `.lock()`/`.read()`/`.write()`/`.try_*()`
 /// on a receiver other than `self`). A bare `self.lock()` is a
 /// guard-helper call, counted by [`acquisitions`].
-fn direct_acquisitions(
-    file: &SourceFile,
-    krate: &str,
-    body: &std::ops::Range<usize>,
-) -> Vec<Acquisition> {
+fn direct_acquisitions(file: &SourceFile, node: &FnNode) -> Vec<Acquisition> {
+    let (krate, body) = (&node.krate, &node.body);
     let text = &file.code[body.clone()];
     let mut out = Vec::new();
     for call in call_sites(text).into_iter().filter(|c| c.std_guard) {
@@ -313,7 +310,7 @@ fn direct_acquisitions(
         // impl type: two store backends can both keep a `state`
         // mutex without their acquisition orders getting conflated.
         let on_self = text[..off - recv.len()].ends_with("self.");
-        let lock = match (on_self, impl_type_at(file, at)) {
+        let lock = match (on_self, &node.owner) {
             (true, Some(ty)) => format!("{krate}::{ty}::{recv}"),
             _ => format!("{krate}::{recv}"),
         };
@@ -326,92 +323,6 @@ fn direct_acquisitions(
     out
 }
 
-/// The `Self` type of the innermost `impl` block containing `at`:
-/// `impl S`, `impl Trait for S`, `impl<T> S<T>` all yield `S`. `None`
-/// when `at` sits outside any impl block (free functions).
-fn impl_type_at(file: &SourceFile, at: usize) -> Option<String> {
-    let code = &file.code;
-    let bytes = code.as_bytes();
-    let mut innermost: Option<(usize, String)> = None;
-    for off in occurrences(code, "impl", true) {
-        let after = off + 4;
-        if bytes
-            .get(after)
-            .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
-        {
-            continue; // `implements`, not the keyword
-        }
-        // The header runs to the block's `{` at angle/bracket depth 0.
-        let mut depth = 0i32;
-        let mut open = None;
-        let mut i = after;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'<' | b'(' | b'[' => depth += 1,
-                b'>' | b')' | b']' => depth -= 1,
-                b'{' if depth <= 0 => {
-                    open = Some(i);
-                    break;
-                }
-                b';' if depth <= 0 => break,
-                _ => {}
-            }
-            i += 1;
-        }
-        let Some(open) = open else { continue };
-        let Some(end) = match_brace(bytes, open) else {
-            continue;
-        };
-        if !(open < at && at < end) {
-            continue;
-        }
-        if let Some(ty) = impl_self_type(&code[after..open]) {
-            if innermost.as_ref().is_none_or(|(o, _)| *o < open) {
-                innermost = Some((open, ty));
-            }
-        }
-    }
-    innermost.map(|(_, ty)| ty)
-}
-
-/// Extract the `Self` type name from an impl header (the text between
-/// `impl` and `{`): skip the generic parameter list, take the path after
-/// `for` when present, and keep the last segment before any generics.
-fn impl_self_type(header: &str) -> Option<String> {
-    let mut rest = header.trim_start();
-    if let Some(stripped) = rest.strip_prefix('<') {
-        let mut depth = 1i32;
-        let mut cut = stripped.len();
-        for (k, c) in stripped.char_indices() {
-            match c {
-                '<' => depth += 1,
-                '>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        cut = k + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        rest = &stripped[cut..];
-    }
-    if let Some(f) = find_word(rest, "for") {
-        rest = &rest[f + 3..];
-    }
-    let rest = rest.trim_start();
-    let path: &str = rest
-        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
-        .next()
-        .unwrap_or("");
-    let ty = path.rsplit(':').next().unwrap_or(path);
-    (ty.chars()
-        .next()
-        .is_some_and(|c| c.is_alphabetic() || c == '_'))
-    .then(|| ty.to_string())
-}
-
 /// All acquisitions in node `i`: direct ones plus calls to
 /// guard-returning helpers (which acquire the helper's locks in the
 /// caller's frame).
@@ -422,7 +333,7 @@ fn acquisitions(
     helper_locks: &BTreeMap<usize, Vec<String>>,
 ) -> Vec<Acquisition> {
     let node = &graph.nodes[i];
-    let mut out = direct_acquisitions(file, &node.krate, &node.body);
+    let mut out = direct_acquisitions(file, node);
     let text = &file.code[node.body.clone()];
     for call in call_sites(text) {
         for r in graph.resolve(&call) {
@@ -1156,50 +1067,6 @@ fn is_gate_name(name: &str) -> bool {
 // ---------------------------------------------------------------------
 // Text helpers
 // ---------------------------------------------------------------------
-
-/// Byte offsets of `pat` in `text`; with `word_start`, the previous
-/// character must not be part of an identifier (so `channel(` does not
-/// match inside `sync_channel(`).
-fn occurrences(text: &str, pat: &str, word_start: bool) -> Vec<usize> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(pat) {
-        let at = from + pos;
-        from = at + 1;
-        if word_start && at > 0 {
-            let prev = bytes[at - 1];
-            if prev.is_ascii_alphanumeric() || prev == b'_' {
-                continue;
-            }
-        }
-        out.push(at);
-    }
-    out
-}
-
-/// Offset of `word` in `text` with identifier boundaries on both sides.
-fn find_word(text: &str, word: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(word) {
-        let at = from + pos;
-        from = at + 1;
-        let left_ok = at == 0 || {
-            let c = bytes[at - 1];
-            !c.is_ascii_alphanumeric() && c != b'_'
-        };
-        let end = at + word.len();
-        let right_ok = end >= bytes.len() || {
-            let c = bytes[end];
-            !c.is_ascii_alphanumeric() && c != b'_'
-        };
-        if left_ok && right_ok {
-            return Some(at);
-        }
-    }
-    None
-}
 
 /// True when the `(` at `open` closes immediately (ignoring whitespace).
 fn empty_args(text: &str, open: usize) -> bool {

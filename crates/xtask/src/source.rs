@@ -521,25 +521,137 @@ pub fn functions(code: &str) -> Vec<FnSpan> {
 
 /// True when `word` occurs in `text` delimited by non-identifier chars.
 pub fn word_present(text: &str, word: &str) -> bool {
+    find_word(text, word).is_some()
+}
+
+/// Byte offsets of `pat` in `text`; with `word_start`, the previous
+/// character must not be part of an identifier (so `channel(` does not
+/// match inside `sync_channel(`).
+pub fn occurrences(text: &str, pat: &str, word_start: bool) -> Vec<usize> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = text[from..].find(pat) {
+        let at = from + pos;
+        from = at + 1;
+        if word_start && at > 0 {
+            let prev = bytes[at - 1];
+            if prev.is_ascii_alphanumeric() || prev == b'_' {
+                continue;
+            }
+        }
+        out.push(at);
+    }
+    out
+}
+
+/// Offset of `word` in `text` with identifier boundaries on both sides.
+pub fn find_word(text: &str, word: &str) -> Option<usize> {
     let bytes = text.as_bytes();
     let mut from = 0;
     while let Some(pos) = text[from..].find(word) {
-        let start = from + pos;
-        let end = start + word.len();
-        let left_ok = start == 0 || {
-            let c = bytes[start - 1];
+        let at = from + pos;
+        from = at + 1;
+        let left_ok = at == 0 || {
+            let c = bytes[at - 1];
             !c.is_ascii_alphanumeric() && c != b'_'
         };
+        let end = at + word.len();
         let right_ok = end >= bytes.len() || {
             let c = bytes[end];
             !c.is_ascii_alphanumeric() && c != b'_'
         };
         if left_ok && right_ok {
-            return true;
+            return Some(at);
         }
-        from = start + 1;
     }
-    false
+    None
+}
+
+/// The `Self` type of the innermost `impl` block containing byte `at` of
+/// stripped text `code`:
+/// `impl S`, `impl Trait for S`, `impl<T> S<T>` all yield `S`. `None`
+/// when `at` sits outside any impl block (free functions).
+pub fn impl_type_at(code: &str, at: usize) -> Option<String> {
+    let bytes = code.as_bytes();
+    let mut innermost: Option<(usize, String)> = None;
+    for off in occurrences(code, "impl", true) {
+        let after = off + 4;
+        if bytes
+            .get(after)
+            .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
+        {
+            continue; // `implements`, not the keyword
+        }
+        // The header runs to the block's `{` at angle/bracket depth 0.
+        let mut depth = 0i32;
+        let mut open = None;
+        let mut i = after;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'<' | b'(' | b'[' => depth += 1,
+                b'>' | b')' | b']' => depth -= 1,
+                b'{' if depth <= 0 => {
+                    open = Some(i);
+                    break;
+                }
+                b';' if depth <= 0 => break,
+                _ => {}
+            }
+            i += 1;
+        }
+        let Some(open) = open else { continue };
+        let Some(end) = match_brace(bytes, open) else {
+            continue;
+        };
+        if !(open < at && at < end) {
+            continue;
+        }
+        if let Some(ty) = impl_self_type(&code[after..open]) {
+            if innermost.as_ref().is_none_or(|(o, _)| *o < open) {
+                innermost = Some((open, ty));
+            }
+        }
+    }
+    innermost.map(|(_, ty)| ty)
+}
+
+/// Extract the `Self` type name from an impl header (the text between
+/// `impl` and `{`): skip the generic parameter list, take the path after
+/// `for` when present, and keep the last segment before any generics.
+fn impl_self_type(header: &str) -> Option<String> {
+    let mut rest = header.trim_start();
+    if let Some(stripped) = rest.strip_prefix('<') {
+        let mut depth = 1i32;
+        let mut cut = stripped.len();
+        for (k, c) in stripped.char_indices() {
+            match c {
+                '<' => depth += 1,
+                '>' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        cut = k + 1;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        rest = &stripped[cut..];
+    }
+    if let Some(f) = find_word(rest, "for") {
+        rest = &rest[f + 3..];
+    }
+    let rest = rest.trim_start();
+    let path: &str = rest
+        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .next()
+        .unwrap_or("");
+    let ty = path.rsplit(':').next().unwrap_or(path);
+    (ty.chars()
+        .next()
+        .is_some_and(|c| c.is_alphabetic() || c == '_'))
+    .then(|| ty.to_string())
 }
 
 #[cfg(test)]
