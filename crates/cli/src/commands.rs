@@ -72,7 +72,7 @@ USAGE:
       ranked bottleneck report.
 
   aiio serve --model FILE [--addr HOST:PORT] [--workers N] [--queue N]
-             [--threads T] [--store DIR] [--shards N]
+             [--max-connections N] [--threads T] [--store DIR] [--shards N]
              [--replicate-from URL]
              [--sched-pull DUR] [--sched-compact DUR] [--sched-retrain DUR]
              [--sched-jitter DUR] [--sched-seed S]
@@ -108,6 +108,10 @@ USAGE:
       compacting a follower or pulling on a primary are startup errors.
       GET /sched/stats reports per-task runs, failures, backoff level and
       time to next run; /metrics exports the same as aiio_sched_*.
+      --max-connections N caps the connections served at once (default
+      256, one thread each); a connection past the cap gets 503 with
+      Retry-After and /metrics counts it in
+      aiio_connections_rejected_total.
       Prints `listening on ADDR` once bound (use --addr 127.0.0.1:0 for
       an ephemeral port) and runs until /admin/shutdown.
 
@@ -706,6 +710,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(q) = flag(&flags, "queue") {
         config.queue_capacity = parse_num(q, "queue")?;
+    }
+    if let Some(c) = flag(&flags, "max-connections") {
+        config.max_connections = parse_num(c, "max-connections")?;
     }
     if let Some(t) = flag(&flags, "threads") {
         config.engine_threads = parse_num(t, "threads")?;

@@ -17,11 +17,17 @@
 //!   Workers clone the `Arc` per job; `POST /admin/reload` swaps the slot,
 //!   so in-flight jobs finish on the snapshot they started with and zero
 //!   requests are dropped.
+//! * **Bounded connections.** The accept loop blocks in `accept` and
+//!   gives each connection its own `aiio-conn` thread, up to
+//!   [`ServeConfig::max_connections`] at once. Past the cap it writes a
+//!   fixed `503` + `Retry-After` without reading the request or spawning
+//!   anything.
 //! * **Graceful shutdown.** `POST /admin/shutdown` (or
-//!   [`Handle::shutdown`]) stops the accept loop, drains admitted work,
-//!   and joins every thread before [`Server::run`] returns. Every
+//!   [`Handle::shutdown`]) sets a flag and wakes the blocked `accept`
+//!   with a self-connect; the accept loop then stops, drains admitted
+//!   work, and joins every thread before [`Server::run`] returns. Every
 //!   connection has read and write timeouts, so a stalled peer cannot
-//!   hold that join.
+//!   hold that join for longer than [`CONN_IO_TIMEOUT`].
 //!
 //! The wire format is [`http`], re-exported from `aiio-replnet` so the
 //! server, [`client`] and the replication follower share one HTTP/1.1
@@ -54,8 +60,8 @@ use metrics::{Endpoint, Metrics};
 use pool::{Job, JobError, ModelSlot, Pool};
 use queue::{Bounded, PushError};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, RwLock};
@@ -69,7 +75,15 @@ pub const DRIFT_MIN_ROWS: usize = 16;
 /// stalls mid-request or stops reading its response releases its
 /// connection thread after this long, so it can neither pin the thread
 /// nor hold up [`Server::run`]'s shutdown join.
-const CONN_IO_TIMEOUT: Duration = Duration::from_secs(10);
+pub const CONN_IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a shutdown request waits for its self-connect, the one
+/// thing that wakes the accept loop out of a blocking `accept`.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Request bytes an over-cap rejection discards before it closes the
+/// socket (see [`reject_connection`]).
+const REJECT_DRAIN_BYTES: usize = 64 * 1024;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +92,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue capacity; beyond this, requests get 503.
     pub queue_capacity: usize,
+    /// Connections served at once, each on its own `aiio-conn` thread.
+    /// A connection accepted past this gets a 503 + `Retry-After` and no
+    /// thread. Must be at least 1.
+    pub max_connections: usize,
     /// Default and maximum per-request deadline.
     pub deadline: Duration,
     /// `Retry-After` seconds advertised on 503.
@@ -124,6 +142,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             queue_capacity: 64,
+            max_connections: 256,
             deadline: Duration::from_secs(30),
             retry_after_secs: 1,
             max_body_bytes: 16 * 1024 * 1024,
@@ -150,12 +169,43 @@ struct Shared {
     queue: Arc<Bounded<Job>>,
     metrics: Arc<Metrics>,
     shutdown: AtomicBool,
+    /// Where a shutdown request self-connects to wake the accept loop:
+    /// the bound address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     config: ServeConfig,
     ingest: Option<Mutex<IngestState>>,
     /// Primary URL when this server is a replication follower. The mutex
     /// serializes pull passes: two concurrent `/repl/sync` requests would
     /// interleave staging writes on the same replica files.
     repl: Option<Mutex<String>>,
+}
+
+impl Shared {
+    /// Set the shutdown flag, then wake the accept loop with a
+    /// self-connect; the loop sees the flag and drops that socket unserved.
+    /// A failed connect is harmless: the listener is already closed, or
+    /// the next connection it accepts wakes it just the same.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
+}
+
+/// One live connection's slot under [`ServeConfig::max_connections`].
+/// The accept loop takes it before spawning the `aiio-conn` thread and
+/// moves it into the thread, so the count drops when the thread exits
+/// (returning or unwinding) or when the spawn itself fails. The
+/// release's `Release` pairs with the accept loop's `Acquire` load of
+/// the count.
+struct ConnSlot(Arc<Shared>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0
+            .metrics
+            .connections_open
+            .fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// A cheap clone-able handle for observing and stopping a running server.
@@ -166,9 +216,9 @@ pub struct Handle {
 
 impl Handle {
     /// Request a graceful shutdown: stop accepting, drain admitted work,
-    /// join all threads.
+    /// join all threads. Wakes a blocked accept loop before it returns.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.request_shutdown();
     }
 
     /// True once shutdown has been requested.
@@ -200,8 +250,14 @@ impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and spawn
     /// the worker pool. The accept loop starts on [`Server::run`].
     pub fn bind(addr: &str, service: AiioService, config: ServeConfig) -> std::io::Result<Server> {
+        if config.max_connections == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "max_connections must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let wake_addr = loopback_of(listener.local_addr()?);
         if config.engine_threads > 0 {
             // Process-global: workers share one engine setting rather than
             // each oversubscribing the machine. Results are thread-count-
@@ -261,6 +317,7 @@ impl Server {
             queue: Arc::new(Bounded::new(config.queue_capacity)),
             metrics,
             shutdown: AtomicBool::new(false),
+            wake_addr,
             config,
             ingest,
             repl,
@@ -301,53 +358,118 @@ impl Server {
 
     /// Serve until shutdown is requested, then drain and join everything.
     pub fn run(self) -> std::io::Result<()> {
+        let busy = busy_reply(&self.shared.config);
+        let max = self.shared.config.max_connections as u64;
+        let metrics = &self.shared.metrics;
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    let spawned = std::thread::Builder::new()
-                        .name("aiio-conn".into())
-                        .spawn(move || handle_connection(stream, &shared));
-                    if let Ok(h) = spawned {
-                        connections.push(h);
-                    }
-                    connections.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // A fatal accept error still shuts the server down
-                    // cleanly before surfacing.
-                    self.shared.queue.close();
-                    for h in connections {
-                        let _ = h.join();
-                    }
-                    if let Some(s) = self.sched {
-                        s.join();
-                    }
-                    self.pool.join();
-                    return Err(e);
-                }
+        let result = loop {
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                break Ok(());
             }
-        }
-        // Graceful: in-flight connections finish (they may still enqueue
-        // until the queue closes below, which is fine — admitted work is
-        // always completed), then the control plane drains (its in-flight
-        // task completes, queued runs are skipped — joined before the
-        // pool because a retrain mid-swap still touches the model slot),
-        // then workers drain.
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                // A fatal accept error still drains cleanly before it
+                // surfaces.
+                Err(e) => break Err(e),
+            };
+            // A shutdown request wakes this accept with a self-connect;
+            // that socket (and any client racing it) is dropped unserved.
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                break Ok(());
+            }
+            connections.retain(|h| !h.is_finished());
+            // Only this loop takes slots, so the count cannot pass `max`
+            // between the check and the increment.
+            if metrics.connections_open.load(Ordering::Acquire) >= max {
+                metrics
+                    .connections_rejected_total
+                    .fetch_add(1, Ordering::Relaxed);
+                reject_connection(stream, &busy);
+                continue;
+            }
+            metrics.connections_open.fetch_add(1, Ordering::AcqRel);
+            let slot = ConnSlot(Arc::clone(&self.shared));
+            let spawned = std::thread::Builder::new()
+                .name("aiio-conn".into())
+                .spawn(move || handle_connection(stream, &slot.0));
+            if let Ok(h) = spawned {
+                connections.push(h);
+            }
+        };
+        self.drain(connections);
+        result
+    }
+
+    /// Stop for good: close the listener (new clients are refused rather
+    /// than left in the backlog), let in-flight connections finish (they
+    /// may still enqueue until the queue closes below, which is fine —
+    /// admitted work is always completed), then drain the control plane
+    /// (its in-flight task completes, queued runs are skipped — joined
+    /// before the pool because a retrain mid-swap still touches the model
+    /// slot), then the workers.
+    fn drain(self, connections: Vec<std::thread::JoinHandle<()>>) {
+        let Server {
+            listener,
+            shared,
+            pool,
+            sched,
+        } = self;
+        drop(listener);
         for h in connections {
             let _ = h.join();
         }
-        if let Some(s) = self.sched {
+        if let Some(s) = sched {
             s.join();
         }
-        self.shared.queue.close();
-        self.pool.join();
-        Ok(())
+        shared.queue.close();
+        pool.join();
+    }
+}
+
+/// The address that reaches a listener bound at `bound`: an unspecified
+/// IP (`0.0.0.0`, `[::]`) becomes loopback of the same family.
+fn loopback_of(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    bound
+}
+
+/// The fixed over-cap reply, serialized once per [`Server::run`].
+fn busy_reply(config: &ServeConfig) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let _ = Response::error(503, "too many open connections")
+        .with_header("Retry-After", config.retry_after_secs.to_string())
+        .write_to(&mut bytes);
+    bytes
+}
+
+/// Answer a connection accepted past the cap, on the accept loop itself
+/// and without ever blocking on the client: one non-blocking write of the
+/// fixed 503, a half-close, then a non-blocking discard of whatever
+/// request bytes have already arrived. The request is never parsed or
+/// waited for; the discard exists because closing a socket with unread
+/// bytes sends an RST, and an RST can destroy the 503 before the client
+/// reads it.
+fn reject_connection(mut stream: TcpStream, busy: &[u8]) {
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    if stream.write_all(busy).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut buf = [0u8; 4096];
+    let mut discarded = 0;
+    while discarded < REJECT_DRAIN_BYTES {
+        match stream.read(&mut buf) {
+            Ok(n) if n > 0 => discarded += n,
+            _ => break,
+        }
     }
 }
 
@@ -379,10 +501,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
         }
     };
-    let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
     shared
         .metrics
-        .record_request(endpoint, response.status, elapsed_ms);
+        .record_request(endpoint, response.status, started.elapsed());
     let _ = response.write_to(&mut writer);
 }
 
@@ -424,7 +545,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
         ("GET", p) if p.starts_with("/repl/") => repl_get(req, shared),
         ("POST", "/admin/reload") => admin_reload(req, shared),
         ("POST", "/admin/shutdown") => {
-            shared.shutdown.store(true, Ordering::Release);
+            shared.request_shutdown();
             Response::json(200, "{\"shutting_down\":true}")
         }
         ("GET" | "POST", _) => Response::error(404, &format!("no such endpoint {path}")),
@@ -935,4 +1056,19 @@ fn admin_reload(req: &Request, shared: &Arc<Shared>) -> Response {
     pool::swap(&shared.slot, service);
     shared.metrics.reloads_total.fetch_add(1, Ordering::Relaxed);
     Response::json(200, format!("{{\"reloaded\":true,\"models\":{models}}}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_wildcard_bind_wakes_through_loopback_of_its_family() {
+        let v4: SocketAddr = "0.0.0.0:7380".parse().unwrap();
+        assert_eq!(loopback_of(v4), "127.0.0.1:7380".parse().unwrap());
+        let v6: SocketAddr = "[::]:7380".parse().unwrap();
+        assert_eq!(loopback_of(v6), "[::1]:7380".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:7380".parse().unwrap();
+        assert_eq!(loopback_of(bound), bound);
+    }
 }

@@ -9,11 +9,14 @@
 use aiio::ModelKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Upper bounds (milliseconds) of the latency histogram buckets; one
-/// implicit `+Inf` bucket follows.
-pub const LATENCY_BOUNDS_MS: [u64; 8] = [1, 5, 10, 25, 100, 250, 1000, 5000];
+/// implicit `+Inf` bucket follows. The sub-millisecond bounds resolve
+/// ingest, health and metrics requests, which finish well under 1 ms.
+pub const LATENCY_BOUNDS_MS: [f64; 11] = [
+    0.1, 0.25, 0.5, 1.0, 5.0, 10.0, 25.0, 100.0, 250.0, 1000.0, 5000.0,
+];
 
 /// The endpoints the server distinguishes in metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,21 +90,20 @@ impl Endpoint {
 struct Histogram {
     /// One counter per bound in [`LATENCY_BOUNDS_MS`] plus `+Inf`.
     buckets: [AtomicU64; LATENCY_BOUNDS_MS.len() + 1],
-    sum_ms: AtomicU64,
+    sum_us: AtomicU64,
     count: AtomicU64,
 }
 
 impl Histogram {
-    fn observe(&self, ms: u64) {
-        let mut idx = LATENCY_BOUNDS_MS.len();
-        for (i, bound) in LATENCY_BOUNDS_MS.iter().enumerate() {
-            if ms <= *bound {
-                idx = i;
-                break;
-            }
-        }
+    fn observe(&self, elapsed: Duration) {
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        let ms = us as f64 / 1000.0;
+        let idx = LATENCY_BOUNDS_MS
+            .iter()
+            .position(|bound| ms <= *bound)
+            .unwrap_or(LATENCY_BOUNDS_MS.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_ms.fetch_add(ms, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -138,6 +140,11 @@ pub struct Metrics {
     endpoints: [EndpointStats; 11],
     /// Requests refused with 503 because the queue was full.
     pub rejected_total: AtomicU64,
+    /// Connections with a live `aiio-conn` thread (gauge).
+    pub connections_open: AtomicU64,
+    /// Connections refused with 503 at accept time because
+    /// `max_connections` were already open.
+    pub connections_rejected_total: AtomicU64,
     /// Requests that missed their deadline (504).
     pub timeouts_total: AtomicU64,
     /// Diagnoses that panicked inside a worker (isolated, answered 500).
@@ -200,6 +207,8 @@ impl Metrics {
         Metrics {
             endpoints: Default::default(),
             rejected_total: AtomicU64::new(0),
+            connections_open: AtomicU64::new(0),
+            connections_rejected_total: AtomicU64::new(0),
             timeouts_total: AtomicU64::new(0),
             worker_panics_total: AtomicU64::new(0),
             reloads_total: AtomicU64::new(0),
@@ -251,13 +260,13 @@ impl Metrics {
     }
 
     /// Record one finished HTTP exchange.
-    pub fn record_request(&self, endpoint: Endpoint, status: u16, elapsed_ms: u64) {
+    pub fn record_request(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
         let s = &self.endpoints[endpoint.index()];
         s.requests_total.fetch_add(1, Ordering::Relaxed);
         if status >= 400 {
             s.errors_total.fetch_add(1, Ordering::Relaxed);
         }
-        s.latency.observe(elapsed_ms);
+        s.latency.observe(elapsed);
     }
 
     /// Record the models a successful diagnosis ran.
@@ -327,10 +336,12 @@ impl Metrics {
                 out,
                 "aiio_request_latency_ms_bucket{{endpoint=\"{label}\",le=\"+Inf\"}} {cumulative}",
             );
+            let sum_us = s.latency.sum_us.load(Ordering::Relaxed);
             let _ = writeln!(
                 out,
-                "aiio_request_latency_ms_sum{{endpoint=\"{label}\"}} {}",
-                s.latency.sum_ms.load(Ordering::Relaxed)
+                "aiio_request_latency_ms_sum{{endpoint=\"{label}\"}} {}.{:03}",
+                sum_us / 1000,
+                sum_us % 1000
             );
             let _ = writeln!(
                 out,
@@ -340,6 +351,16 @@ impl Metrics {
         }
         let _ = writeln!(out, "aiio_queue_depth {queue_depth}");
         let _ = writeln!(out, "aiio_queue_capacity {queue_capacity}");
+        let _ = writeln!(
+            out,
+            "aiio_connections_open {}",
+            self.connections_open.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "aiio_connections_rejected_total {}",
+            self.connections_rejected_total.load(Ordering::Relaxed)
+        );
         let _ = writeln!(
             out,
             "aiio_rejected_total {}",
@@ -505,9 +526,9 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_in_render() {
         let m = Metrics::new(2);
-        m.record_request(Endpoint::Diagnose, 200, 3);
-        m.record_request(Endpoint::Diagnose, 200, 8);
-        m.record_request(Endpoint::Diagnose, 500, 7000);
+        m.record_request(Endpoint::Diagnose, 200, Duration::from_millis(3));
+        m.record_request(Endpoint::Diagnose, 200, Duration::from_millis(8));
+        m.record_request(Endpoint::Diagnose, 500, Duration::from_millis(7000));
         let text = m.render(1, 8);
         assert!(text.contains("aiio_requests_total{endpoint=\"diagnose\"} 3"));
         assert!(text.contains("aiio_request_errors_total{endpoint=\"diagnose\"} 1"));
@@ -515,6 +536,23 @@ mod tests {
         assert!(text.contains("le=\"10\"} 2"));
         assert!(text.contains("le=\"+Inf\"} 3"));
         assert!(text.contains("aiio_queue_depth 1"));
+    }
+
+    #[test]
+    fn sub_millisecond_latencies_land_in_fractional_buckets() {
+        let m = Metrics::new(1);
+        m.record_request(Endpoint::Ingest, 200, Duration::from_micros(80));
+        m.record_request(Endpoint::Ingest, 200, Duration::from_micros(400));
+        m.record_request(Endpoint::Ingest, 200, Duration::from_micros(1500));
+        let text = m.render(0, 8);
+        assert!(text.contains("endpoint=\"ingest\",le=\"0.1\"} 1"));
+        assert!(text.contains("endpoint=\"ingest\",le=\"0.25\"} 1"));
+        assert!(text.contains("endpoint=\"ingest\",le=\"0.5\"} 2"));
+        assert!(text.contains("endpoint=\"ingest\",le=\"1\"} 2"));
+        assert!(text.contains("endpoint=\"ingest\",le=\"5\"} 3"));
+        assert!(text.contains("aiio_request_latency_ms_sum{endpoint=\"ingest\"} 1.980"));
+        assert!(text.contains("aiio_connections_open 0"));
+        assert!(text.contains("aiio_connections_rejected_total 0"));
     }
 
     #[test]
@@ -616,7 +654,7 @@ mod tests {
     #[test]
     fn idle_endpoints_are_omitted() {
         let m = Metrics::new(1);
-        m.record_request(Endpoint::Healthz, 200, 0);
+        m.record_request(Endpoint::Healthz, 200, Duration::ZERO);
         let text = m.render(0, 8);
         assert!(text.contains("endpoint=\"healthz\""));
         assert!(!text.contains("endpoint=\"diagnose\""));

@@ -122,8 +122,10 @@ pub enum Fault {
     /// Relay in full with response-body byte `n % len` XORed `0xA5`
     /// (silent in-flight corruption a CRC must catch).
     FlipBodyByte(usize),
-    /// Sleep `ms` before touching the upstream, driving the client past
-    /// its per-request deadline.
+    /// Open the upstream connection, then sleep `ms` before relaying the
+    /// request: the upstream holds a connected, silent client (a slow
+    /// client occupying a connection slot) while the client is driven
+    /// past its per-request deadline.
     StallMs(u64),
 }
 
@@ -264,16 +266,17 @@ fn handle_exchange(mut client: TcpStream, upstream: SocketAddr, fault: Fault) ->
         .next()
         .map(|l| String::from_utf8_lossy(l).into_owned())
         .unwrap_or_default();
-    match fault {
-        Fault::Refuse => return line,
-        Fault::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
-        _ => {}
+    if fault == Fault::Refuse {
+        return line;
     }
     let Ok(mut server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(5)) else {
         return line;
     };
     let _ = server.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = server.set_write_timeout(Some(Duration::from_secs(5)));
+    if let Fault::StallMs(ms) = fault {
+        std::thread::sleep(Duration::from_millis(ms));
+    }
     if server.write_all(&request).is_err() {
         return line;
     }

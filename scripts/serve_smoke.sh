@@ -53,7 +53,7 @@ stop_server() {
 }
 
 echo "== starting the server on an ephemeral port =="
-start_server --workers 4 --queue 8
+start_server --workers 4 --queue 8 --max-connections 8
 
 echo "== health =="
 client health | grep -q '"status":"ok"'
@@ -89,6 +89,9 @@ grep -q 'aiio_request_errors_total{endpoint="diagnose_batch"} 1' "$WORKDIR/metri
 grep -q 'aiio_reloads_total 1' "$WORKDIR/metrics.out"
 grep -q 'aiio_queue_depth' "$WORKDIR/metrics.out"
 grep -q 'aiio_inference_total' "$WORKDIR/metrics.out"
+# The scrape's own connection is open; sequential clients never hit the cap.
+grep -q '^aiio_connections_open [1-9]' "$WORKDIR/metrics.out"
+grep -q '^aiio_connections_rejected_total 0$' "$WORKDIR/metrics.out"
 
 echo "== graceful shutdown =="
 stop_server
