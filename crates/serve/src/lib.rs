@@ -987,7 +987,9 @@ fn query_rows(query: &str, shared: &Arc<Shared>) -> Response {
         };
         state.store.read_view()
     };
-    let mut rows = String::from("[");
+    // Rows are encoded straight into one buffer; the reply's head, which
+    // reports `returned` and `truncated`, is only known after the scan.
+    let mut rows = vec![b'['];
     let mut returned = 0usize;
     let mut truncated = false;
     let mut ser_err: Option<String> = None;
@@ -996,14 +998,11 @@ fn query_rows(query: &str, shared: &Arc<Shared>) -> Response {
             truncated = true;
             return;
         }
-        match serde_json::to_string(job) {
-            Ok(json) => {
-                if returned > 0 {
-                    rows.push(',');
-                }
-                rows.push_str(&json);
-                returned += 1;
-            }
+        if returned > 0 {
+            rows.push(b',');
+        }
+        match serde_json::to_writer(&mut rows, job) {
+            Ok(()) => returned += 1,
             Err(e) => ser_err = Some(e.to_string()),
         }
     });
@@ -1014,20 +1013,26 @@ fn query_rows(query: &str, shared: &Arc<Shared>) -> Response {
     if let Some(e) = ser_err {
         return Response::error(500, &format!("row serialization failed: {e}"));
     }
-    rows.push(']');
-    Response::json(
-        200,
+    rows.push(b']');
+    let mut body = format!(
+        "{{\"counter\":\"{}\",\"min\":{},\"max\":{},\"limit\":{limit},\"returned\":{returned},\"truncated\":{truncated},\"rows\":",
+        counter.name(),
+        json_f64(min),
+        json_f64(max),
+    )
+    .into_bytes();
+    body.extend_from_slice(&rows);
+    body.extend_from_slice(
         format!(
-            "{{\"counter\":\"{}\",\"min\":{},\"max\":{},\"limit\":{limit},\"returned\":{returned},\"truncated\":{truncated},\"rows\":{rows},\"summary\":{{\"segments_scanned\":{},\"segments_skipped\":{},\"rows_scanned\":{},\"rows_matched\":{}}}}}",
-            counter.name(),
-            json_f64(min),
-            json_f64(max),
+            ",\"summary\":{{\"segments_scanned\":{},\"segments_skipped\":{},\"rows_scanned\":{},\"rows_matched\":{}}}}}",
             summary.segments_scanned,
             summary.segments_skipped,
             summary.rows_scanned,
             summary.rows_matched,
-        ),
-    )
+        )
+        .as_bytes(),
+    );
+    Response::bytes(200, "application/json", body)
 }
 
 fn admin_reload(req: &Request, shared: &Arc<Shared>) -> Response {

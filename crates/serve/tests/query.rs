@@ -162,6 +162,64 @@ fn query_without_a_store_is_404() {
     s.stop();
 }
 
+/// FNV-1a over a whole `/query` reply, captured when rows were still
+/// encoded one `String` at a time with `core::fmt` scalars. The writer
+/// may get faster; the bytes on the wire may not change.
+const QUERY_REPLY_FNV: u64 = 0x026c_bac2_b4a2_aff8;
+const QUERY_REPLY_LEN: usize = 13_553;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn query_reply_bytes_match_the_pinned_fingerprint() {
+    let dir = tmpdir("fingerprint");
+    let s = with_store(&dir, 0);
+    // Sampler rows (integral counters, fractional times) plus rows whose
+    // scalars and strings take every branch of the JSON writer.
+    let mut jobs: Vec<JobLog> = common::jobs_pool()[..24].to_vec();
+    let edge = [
+        ("plain", [0.0, -0.0, 1e15 - 1.0, 1e15]),
+        (
+            "quote \" backslash \\ tab \t nl \n cr \r",
+            [2f64.powi(53), 1e20, 0.1, 1.0 / 3.0],
+        ),
+        (
+            "ctl \u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f} é 東京 🦀",
+            [5e-324, 2.2e-308, 1e300, 123.456],
+        ),
+    ];
+    for (i, (app, values)) in edge.iter().enumerate() {
+        let mut j = JobLog::new(1000 + i as u64, *app, 2023);
+        for (c, v) in [
+            CounterId::PosixOpens,
+            CounterId::PosixReads,
+            CounterId::PosixWrites,
+            CounterId::Nprocs,
+        ]
+        .into_iter()
+        .zip(values)
+        {
+            j.counters.set(c, *v);
+        }
+        j.time.slowest_rank_seconds = 0.5 + i as f64;
+        jobs.push(j);
+    }
+    ingest(&s, &jobs);
+
+    let r = get(&s, "/query?counter=POSIX_OPENS&limit=100");
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(row_ids(&r.body).len(), jobs.len());
+    let (fnv, len) = (fnv1a64(r.body.as_bytes()), r.body.len());
+    println!("QUERY_REPLY_FNV = {fnv:#018x}, QUERY_REPLY_LEN = {len}");
+    assert_eq!((fnv, len), (QUERY_REPLY_FNV, QUERY_REPLY_LEN), "{}", r.body);
+    s.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Raw-socket requests the bundled client refuses to build: an oversized
 /// request line and duplicate Content-Length headers.
 fn raw_roundtrip(addr: &str, raw: &[u8]) -> String {

@@ -164,7 +164,12 @@ fn scheduled_pull_converges_to_zero_lag_under_seeded_faults() {
     }
 
     // Convergence: with the fault queue drained, scheduled pulls alone
-    // must bring every shard's lag to zero and ship all 64 rows.
+    // must bring every shard's lag to zero and ship all 64 rows. Rows and
+    // lag move inside a pass, but `runs_total` and the backoff gauge only
+    // when it returns, and a pass that met a `StallMs` slot can be the
+    // one that converges, still in flight (the stall is well inside the
+    // pull's per-request deadline). So the scheduler's own evidence is
+    // part of the wait, and the asserts below read one settled scrape.
     let body = wait_for_metrics(&follower, Duration::from_secs(60), |b| {
         metric_value(b, "aiio_store_rows") == 64
             && (0..SHARDS).all(|s| {
@@ -173,6 +178,8 @@ fn scheduled_pull_converges_to_zero_lag_under_seeded_faults() {
                     &format!("aiio_shard_replication_lag_frames{{shard=\"{s}\"}}"),
                 ) == 0
             })
+            && metric_value(b, "aiio_sched_runs_total{task=\"pull\"}") >= 4
+            && metric_value(b, "aiio_sched_backoff_level{task=\"pull\"}") == 0
     });
     assert_eq!(metric_value(&body, "aiio_store_rows"), 64, "{body}");
     for s in 0..SHARDS {
