@@ -11,7 +11,7 @@ use crate::zoo::ModelZoo;
 use aiio_darshan::{CounterId, FeaturePipeline, JobLog, N_COUNTERS};
 use aiio_explain::kernel::{KernelShap, KernelShapConfig};
 use aiio_explain::lime::{Lime, LimeConfig};
-use aiio_explain::{Attribution, Predictor};
+use aiio_explain::Attribution;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -101,11 +101,8 @@ impl DiagnosisReport {
 impl std::fmt::Display for DiagnosisReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "AIIO diagnosis — job {} ({})", self.job_id, self.app)?;
-        writeln!(
-            f,
-            "  estimated performance: {:.2} MiB/s",
-            self.performance_mib_s
-        )?;
+        let performance = self.performance_mib_s;
+        writeln!(f, "  estimated performance: {performance:.2} MiB/s")?;
         for (kind, p) in &self.predictions_mib_s {
             writeln!(f, "  {kind:<9} predicts: {p:.2} MiB/s")?;
         }
@@ -116,27 +113,26 @@ impl std::fmt::Display for DiagnosisReport {
             .map(|c| c.contribution.abs())
             .fold(0.0f64, f64::max)
             .max(1e-12);
-        writeln!(f, "  top bottlenecks (negative impact):")?;
-        for c in self.bottlenecks.iter().take(8) {
-            let bars = ((c.contribution.abs() / scale) * 24.0).round() as usize;
-            writeln!(
-                f,
-                "    {:<28} {:>10.4}  {}",
-                c.counter.name(),
-                c.contribution,
-                "-".repeat(bars.max(1))
-            )?;
-        }
-        writeln!(f, "  top positive factors:")?;
-        for c in self.positives.iter().take(4) {
-            let bars = ((c.contribution.abs() / scale) * 24.0).round() as usize;
-            writeln!(
-                f,
-                "    {:<28} {:>10.4}  {}",
-                c.counter.name(),
-                c.contribution,
-                "+".repeat(bars.max(1))
-            )?;
+        let sections = [
+            (
+                "top bottlenecks (negative impact)",
+                &self.bottlenecks,
+                8,
+                "-",
+            ),
+            ("top positive factors", &self.positives, 4, "+"),
+        ];
+        for (title, contributions, take, bar) in sections {
+            writeln!(f, "  {title}:")?;
+            for c in contributions.iter().take(take) {
+                let bars = ((c.contribution.abs() / scale) * 24.0).round() as usize;
+                let (name, value) = (c.counter.name(), c.contribution);
+                writeln!(
+                    f,
+                    "    {name:<28} {value:>10.4}  {}",
+                    bar.repeat(bars.max(1))
+                )?;
+            }
         }
         if !self.advice.is_empty() {
             writeln!(f, "  suggested tuning:")?;
@@ -210,22 +206,17 @@ impl BaselineCache {
         let slots = self
             .slots
             .get_or_init(|| (0..n_models).map(|_| OnceLock::new()).collect());
-        match slots.get(index) {
-            Some(slot) => {
-                if let Some(&v) = slot.get() {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    v
-                } else {
-                    // Concurrent first calls may both compute; the slot
-                    // keeps one value and both count as misses.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    *slot.get_or_init(compute)
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                compute()
-            }
+        let slot = slots.get(index);
+        if let Some(&v) = slot.and_then(OnceLock::get) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return v;
+        }
+        // Concurrent first calls may both compute; the slot keeps one
+        // value and both count as misses.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        match slot {
+            Some(slot) => *slot.get_or_init(compute),
+            None => compute(),
         }
     }
 
@@ -266,39 +257,6 @@ impl<'a> Diagnoser<'a> {
         self
     }
 
-    /// Explain one model at the job's feature vector with the zero
-    /// background required for sparsity robustness. `model_index` keys the
-    /// baseline cache by the model's position in the zoo.
-    // xtask-allow: AIIO-S001 — delegates to KernelShap/Lime explainers, which
-    // route through aiio_explain::sparsity_mask (cross-crate, invisible to the lint)
-    fn explain_one(
-        &self,
-        model: &dyn Predictor,
-        features: &[f64],
-        model_index: usize,
-    ) -> Attribution {
-        let background = vec![0.0; features.len()];
-        let expected = match self.baselines {
-            Some(cache) => cache.expected_for(self.zoo.models().len(), model_index, || {
-                model.predict_one(&background)
-            }),
-            None => model.predict_one(&background),
-        };
-        match self.config.explainer {
-            ExplainerKind::KernelShap => KernelShap::new(KernelShapConfig {
-                max_evals: self.config.max_evals,
-                seed: self.config.seed,
-            })
-            .explain_with_baseline(model, features, &background, expected),
-            ExplainerKind::Lime => Lime::new(LimeConfig {
-                n_samples: self.config.max_evals,
-                seed: self.config.seed,
-                ..LimeConfig::default()
-            })
-            .explain_with_baseline(model, features, &background, expected),
-        }
-    }
-
     /// Diagnose one job log.
     ///
     /// # Panics
@@ -326,12 +284,29 @@ impl<'a> Diagnoser<'a> {
         let features = self.pipeline.features_of(log);
         let tag = self.pipeline.tag_of(log);
 
-        // One independent explanation per model (each explainer reseeds
-        // its own RNG), gathered in zoo order by the index-ordered
-        // reduction — the parallel and sequential paths are bit-identical.
+        // One coalition plan serves the zoo: every model is explained here
+        // against the zero background sparsity robustness requires, with
+        // one seed. Gathered in zoo order at any thread count, bit for bit.
+        let background = vec![0.0; features.len()];
+        let (max_evals, seed) = (self.config.max_evals, self.config.seed);
+        let plan = match self.config.explainer {
+            ExplainerKind::KernelShap => {
+                KernelShap::new(KernelShapConfig { max_evals, seed }).plan(&features, &background)
+            }
+            ExplainerKind::Lime => Lime::new(LimeConfig {
+                n_samples: max_evals,
+                seed,
+                ..LimeConfig::default()
+            })
+            .plan(&features, &background),
+        };
         let per_model: Vec<(ModelKind, Attribution)> =
             aiio_par::map_indexed(self.zoo.models(), |i, tm| {
-                (tm.kind, self.explain_one(&tm.model, &features, i))
+                let baseline = || tm.model.predict_one(&background);
+                let expected = self.baselines.map_or_else(baseline, |cache| {
+                    cache.expected_for(self.zoo.len(), i, baseline)
+                });
+                (tm.kind, plan.explain(&tm.model, expected))
             });
         let predictions: Vec<f64> = self.zoo.predict_all(&features);
         let predictions_mib_s: Vec<(ModelKind, f64)> = self

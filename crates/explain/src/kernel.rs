@@ -10,8 +10,9 @@
 //! exactly zero attribution — the paper's robustness-to-sparsity behaviour
 //! (§3.3 "Sparse Darshan log input is required for diagnosis functions").
 
+use crate::plan::{CoalitionPlan, Surrogate};
 use crate::{Attribution, Predictor};
-use aiio_linalg::{weighted_least_squares, Matrix};
+use aiio_linalg::{Matrix, WlsFactor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -19,8 +20,11 @@ use serde::{Deserialize, Serialize};
 /// Kernel SHAP configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelShapConfig {
-    /// Maximum model evaluations (coalitions). When all `2^k - 2` proper
-    /// coalitions fit, the result is exact.
+    /// Model-evaluation budget. When all `2^k - 2` proper coalitions fit,
+    /// all are evaluated and the result is exact. Otherwise the `2k`
+    /// singletons and their complements always are, so a budget below `2k`
+    /// is exceeded; complement pairs are sampled up to the budget, and a
+    /// mask sampled twice is evaluated once.
     pub max_evals: usize,
     /// RNG seed for coalition sampling.
     pub seed: u64,
@@ -38,8 +42,7 @@ impl Default for KernelShapConfig {
 /// The Shapley kernel weight for a coalition of size `s` out of `k`.
 fn shapley_kernel(k: usize, s: usize) -> f64 {
     debug_assert!(s >= 1 && s < k);
-    let binom = binomial(k, s);
-    (k as f64 - 1.0) / (binom * s as f64 * (k - s) as f64)
+    (k as f64 - 1.0) / (binomial(k, s) * s as f64 * (k - s) as f64)
 }
 
 fn binomial(n: usize, r: usize) -> f64 {
@@ -49,38 +52,6 @@ fn binomial(n: usize, r: usize) -> f64 {
         v = v * (n - i) as f64 / (i + 1) as f64;
     }
     v
-}
-
-/// The attributions of the `k` active features from the coalition values
-/// `fvals` (one per mask), by a weighted least squares with the sum
-/// constraint `Σφ = fx − expected` enforced through eliminating the last
-/// variable:
-///   `y_S - z_last (fx - f0)  =  Σ_{j<k-1} φ_j (z_j - z_last)`.
-fn constrained_wls(
-    k: usize,
-    masks: &[usize],
-    weights: &[f64],
-    fvals: &[f64],
-    fx: f64,
-    expected: f64,
-) -> Vec<f64> {
-    let delta = fx - expected;
-    let p = k - 1;
-    let mut design = Matrix::zeros(masks.len(), p);
-    let mut target = vec![0.0; masks.len()];
-    for (r, &mask) in masks.iter().enumerate() {
-        let z_last = (mask >> (k - 1) & 1) as f64;
-        for j in 0..p {
-            let z_j = (mask >> j & 1) as f64;
-            design[(r, j)] = z_j - z_last;
-        }
-        target[r] = (fvals[r] - expected) - z_last * delta;
-    }
-    let mut phi_active =
-        weighted_least_squares(&design, &target, weights, 0.0).unwrap_or_else(|_| vec![0.0; p]);
-    let last = delta - phi_active.iter().sum::<f64>();
-    phi_active.push(last);
-    phi_active
 }
 
 /// Kernel SHAP explainer.
@@ -104,23 +75,17 @@ impl KernelShap {
         Self { config }
     }
 
-    /// Explain `model` at `x` against `background`.
-    ///
-    /// # Panics
-    /// Panics if `usize::BITS` or more features are active (a coalition is
-    /// a `usize` bit mask over them).
+    /// Explain `model` at `x` against `background`. Panics if `usize::BITS`
+    /// or more features are active (a coalition is a `usize` bit mask).
     pub fn explain(&self, model: &dyn Predictor, x: &[f64], background: &[f64]) -> Attribution {
         self.explain_with_baseline(model, x, background, model.predict_one(background))
     }
 
     /// [`Self::explain`] with the baseline `f(background)` supplied by the
-    /// caller — the hook for per-model background caches: the background
-    /// prediction is the one model evaluation repeated diagnoses share, so
-    /// callers that explain many jobs against one background compute it
-    /// once. `expected` must equal `model.predict_one(background)`.
-    ///
-    /// # Panics
-    /// As [`Self::explain`].
+    /// caller, who can cache it per model: it is the one evaluation that
+    /// explanations against one background share. `expected` must equal
+    /// `model.predict_one(background)`; panics as [`Self::explain`]. This
+    /// is [`Self::plan`] used once.
     pub fn explain_with_baseline(
         &self,
         model: &dyn Predictor,
@@ -128,37 +93,30 @@ impl KernelShap {
         background: &[f64],
         expected: f64,
     ) -> Attribution {
-        let active = crate::sparsity_mask(x, background);
-        let k = active.len();
-        crate::check_coalition_width(k);
-        let mut values = vec![0.0; x.len()];
-        if k == 0 {
-            return Attribution { values, expected };
-        }
-        let fx = model.predict_one(x);
-        if k == 1 {
-            values[active[0]] = fx - expected;
-            return Attribution { values, expected };
-        }
+        self.plan(x, background).explain(model, expected)
+    }
 
-        // Collect coalitions (as bitmasks over the active set) and weights,
-        // then evaluate each distinct coalition once (bit-identical at any
-        // thread count; see `Predictor::predict_coalitions`).
-        let (masks, weights) = self.coalitions(k);
-        let fvals = crate::predict_distinct_coalitions(model, x, background, &active, &masks);
-        let phi_active = constrained_wls(k, &masks, &weights, &fvals, fx, expected);
-        for (bit, &feat) in active.iter().enumerate() {
-            values[feat] = phi_active[bit];
-        }
-        Attribution { values, expected }
+    /// The coalition plan at `x` against `background`, for any number of
+    /// models (see [`CoalitionPlan`]). Panics as [`Self::explain`].
+    pub fn plan<'a>(&self, x: &'a [f64], background: &'a [f64]) -> CoalitionPlan<'a> {
+        CoalitionPlan::new(x, background, Surrogate::KernelShap, |k| {
+            let (masks, weights) = self.coalitions(k);
+            // The sum constraint `Σφ = f(x) − f0` eliminates the last
+            // variable: `y_S − z_last (f(x) − f0) = Σ_{j<k−1} φ_j (z_j − z_last)`.
+            let design = Matrix::from_fn(masks.len(), k - 1, |r, j| {
+                (masks[r] >> j & 1) as f64 - (masks[r] >> (k - 1) & 1) as f64
+            });
+            (masks, WlsFactor::new(&design, &weights, 0.0).ok())
+        })
     }
 
     /// Choose coalitions: full enumeration when it fits the budget,
     /// otherwise paired sampling with level-weighted sizes.
     fn coalitions(&self, k: usize) -> (Vec<usize>, Vec<f64>) {
-        let full = (1usize << k) - 2; // proper nonempty subsets
-        if full <= self.config.max_evals {
-            let masks: Vec<usize> = (1..(1usize << k) - 1).collect();
+        let all = (1usize << k) - 1;
+        if all - 1 <= self.config.max_evals {
+            // Every proper nonempty subset.
+            let masks: Vec<usize> = (1..all).collect();
             let weights = masks
                 .iter()
                 .map(|m| shapley_kernel(k, (*m as u32).count_ones() as usize))
@@ -170,12 +128,8 @@ impl KernelShap {
         // Always include every singleton and every (k-1)-coalition — the
         // highest-weight levels.
         for bit in 0..k {
-            let m = 1usize << bit;
-            masks.push(m);
-            weights.push(shapley_kernel(k, 1));
-            let inv = ((1usize << k) - 1) ^ m;
-            masks.push(inv);
-            weights.push(shapley_kernel(k, k - 1));
+            masks.extend([1 << bit, all ^ 1 << bit]);
+            weights.extend([shapley_kernel(k, 1), shapley_kernel(k, k - 1)]);
         }
         // Sample the rest in complement pairs; each sampled coalition
         // carries its kernel weight (duplicates simply add weight).
@@ -188,6 +142,7 @@ impl KernelShap {
         if total_mass <= 0.0 {
             return (masks, weights);
         }
+        let mut bits: Vec<usize> = Vec::with_capacity(k);
         while masks.len() + 2 <= self.config.max_evals {
             // Draw a size.
             let mut pick = rng.gen_range(0.0..total_mass);
@@ -200,18 +155,15 @@ impl KernelShap {
                 pick -= m;
             }
             // Draw a random coalition of size s.
-            let mut bits: Vec<usize> = (0..k).collect();
+            bits.clear();
+            bits.extend(0..k);
             for i in 0..s {
                 let j = rng.gen_range(i..k);
                 bits.swap(i, j);
             }
             let mask: usize = bits[..s].iter().map(|b| 1usize << b).sum();
-            let w = shapley_kernel(k, s);
-            masks.push(mask);
-            weights.push(w);
-            let inv = ((1usize << k) - 1) ^ mask;
-            masks.push(inv);
-            weights.push(shapley_kernel(k, k - s));
+            masks.extend([mask, all ^ mask]);
+            weights.extend([shapley_kernel(k, s), shapley_kernel(k, k - s)]);
         }
         (masks, weights)
     }
@@ -222,6 +174,37 @@ mod tests {
     use super::*;
     use crate::exact::exact_shapley;
     use crate::FnPredictor;
+
+    /// The attributions of the `k` active features from the coalition values
+    /// `fvals` (one per mask) by one weighted least squares, as Kernel SHAP
+    /// computed them before coalition plans: the reference the distinct-mask
+    /// tests compare against.
+    fn constrained_wls(
+        k: usize,
+        masks: &[usize],
+        weights: &[f64],
+        fvals: &[f64],
+        fx: f64,
+        expected: f64,
+    ) -> Vec<f64> {
+        let delta = fx - expected;
+        let p = k - 1;
+        let mut design = Matrix::zeros(masks.len(), p);
+        let mut target = vec![0.0; masks.len()];
+        for (r, &mask) in masks.iter().enumerate() {
+            let z_last = (mask >> (k - 1) & 1) as f64;
+            for j in 0..p {
+                let z_j = (mask >> j & 1) as f64;
+                design[(r, j)] = z_j - z_last;
+            }
+            target[r] = (fvals[r] - expected) - z_last * delta;
+        }
+        let mut phi_active = aiio_linalg::weighted_least_squares(&design, &target, weights, 0.0)
+            .unwrap_or_else(|_| vec![0.0; p]);
+        let last = delta - phi_active.iter().sum::<f64>();
+        phi_active.push(last);
+        phi_active
+    }
 
     fn close(a: &[f64], b: &[f64], tol: f64) {
         for (x, y) in a.iter().zip(b) {

@@ -18,6 +18,8 @@
 //!   (polynomial-time, used for ablations and cross-checks);
 //! * [`lime`] — LIME (Ribeiro et al., 2016): local perturbation plus
 //!   distance-weighted ridge regression;
+//! * [`plan`] — the coalition plan both of those build, once per point
+//!   for every model explained there;
 //! * [`metrics`] — the paper's Eq. 5 "RMSE for SHAP" diagnosis-quality
 //!   metric and local-accuracy checks;
 //! * [`global`] — PDP (the "traditional method" the paper contrasts SHAP
@@ -33,6 +35,7 @@ pub mod global;
 pub mod kernel;
 pub mod lime;
 pub mod metrics;
+pub mod plan;
 pub mod tree;
 
 use serde::{Deserialize, Serialize};
@@ -61,8 +64,8 @@ pub fn sparsity_mask(x: &[f64], background: &[f64]) -> Vec<usize> {
 /// explainers rely on it twice: batches are split over threads at any
 /// boundary, and each distinct coalition is evaluated once, in mask
 /// order, with its value reused wherever the coalition repeats (see
-/// `predict_distinct_coalitions`). `aiio-nn`'s `tests/inference.rs`
-/// and [`booster`]'s tests check it for the workspace's models.
+/// [`plan`]). `aiio-nn`'s `tests/inference.rs` and [`booster`]'s tests
+/// check it for the workspace's models.
 pub trait Predictor: Sync {
     /// Predict a batch of rows.
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64>;
@@ -117,46 +120,6 @@ pub fn predict_coalition_rows<P: Predictor + ?Sized>(
     aiio_par::map_chunks(&rows, |chunk| model.predict_batch(chunk))
 }
 
-/// [`Predictor::predict_coalitions`] with each distinct mask evaluated
-/// once: the masks are sorted and deduplicated, the distinct ones are
-/// predicted, and the values are scattered back to every position of
-/// `masks`. By the [`Predictor`] contract the result has the same bits as
-/// predicting every mask; sampled Kernel SHAP and LIME masks repeat often
-/// enough for this to save model evaluations.
-pub(crate) fn predict_distinct_coalitions(
-    model: &dyn Predictor,
-    x: &[f64],
-    background: &[f64],
-    active: &[usize],
-    masks: &[usize],
-) -> Vec<f64> {
-    let mut distinct = masks.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let fvals = model.predict_coalitions(x, background, active, &distinct);
-    masks
-        .iter()
-        .map(|mask| {
-            // Every mask is in `distinct`, so the search always hits.
-            let (Ok(i) | Err(i)) = distinct.binary_search(mask);
-            fvals[i]
-        })
-        .collect()
-}
-
-/// Refuse more active features than a coalition mask has bits.
-///
-/// # Panics
-/// Panics if `k >= usize::BITS`: the explainers form `1 << k` and the
-/// all-on mask, so `k` must leave one bit spare.
-fn check_coalition_width(k: usize) {
-    assert!(
-        k < usize::BITS as usize,
-        "{k} active features: coalition masks are usize bit sets, so at most {} fit",
-        usize::BITS - 1
-    );
-}
-
 /// Wrap a plain function as a [`Predictor`].
 pub struct FnPredictor<F: Fn(&[f64]) -> f64 + Sync>(pub F);
 
@@ -187,13 +150,6 @@ impl Attribution {
     pub fn most_negative_first(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.values.len()).collect();
         idx.sort_by(|&a, &b| self.values[a].total_cmp(&self.values[b]));
-        idx
-    }
-
-    /// Indices sorted by absolute contribution, largest first.
-    pub fn largest_magnitude_first(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.values.len()).collect();
-        idx.sort_by(|&a, &b| self.values[b].abs().total_cmp(&self.values[a].abs()));
         idx
     }
 }
@@ -253,21 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_coalitions_scatter_back_to_every_position() {
-        let x = [0.5, 1.5, -2.0, 3.0, 0.25];
-        let bg = [0.0; 5];
-        let active = [0, 1, 2, 3, 4];
-        let masks = [7, 0, 31, 7, 3, 0, 31, 3, 3, 16];
-        let model = Counting::default();
-        let got = predict_distinct_coalitions(&model, &x, &bg, &active, &masks);
-        assert_eq!(model.seen(), vec![0, 3, 7, 16, 31]);
-        let every = predict_coalition_rows(&model, &x, &bg, &active, &masks);
-        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&every));
-        assert!(predict_distinct_coalitions(&model, &x, &bg, &active, &[]).is_empty());
-    }
-
-    #[test]
     fn fn_predictor_wraps_closures() {
         let p = FnPredictor(|x: &[f64]| x[0] * 2.0);
         assert_eq!(p.predict_one(&[3.0]), 6.0);
@@ -280,9 +221,7 @@ mod tests {
             values: vec![0.5, -2.0, 1.0, -0.1],
             expected: 3.0,
         };
-        assert_eq!(a.most_negative_first()[0], 1);
-        assert_eq!(a.largest_magnitude_first()[0], 1);
-        assert_eq!(a.largest_magnitude_first()[1], 2);
+        assert_eq!(a.most_negative_first(), vec![1, 3, 0, 2]);
         assert!((a.reconstructed() - 2.4).abs() < 1e-12);
     }
 }

@@ -8,8 +8,9 @@
 //! diagnosis function (§3.3) but never merges across the two because their
 //! scales differ.
 
+use crate::plan::{CoalitionPlan, Surrogate};
 use crate::{Attribution, Predictor};
-use aiio_linalg::{weighted_least_squares, Matrix};
+use aiio_linalg::{Matrix, WlsFactor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -51,21 +52,15 @@ impl Lime {
     }
 
     /// Explain `model` at `x` against `background`. Inactive features
-    /// (equal to the background) receive exactly zero.
-    ///
-    /// # Panics
-    /// Panics if `usize::BITS` or more features are active (a perturbation
-    /// is a `usize` bit mask over them).
+    /// (equal to the background) receive exactly zero. Panics if
+    /// `usize::BITS` or more are active (a perturbation is a `usize` mask).
     pub fn explain(&self, model: &dyn Predictor, x: &[f64], background: &[f64]) -> Attribution {
         self.explain_with_baseline(model, x, background, model.predict_one(background))
     }
 
     /// [`Self::explain`] with the baseline `f(background)` supplied by the
-    /// caller (see `KernelShap::explain_with_baseline`; same caching hook).
-    /// `expected` must equal `model.predict_one(background)`.
-    ///
-    /// # Panics
-    /// As [`Self::explain`].
+    /// caller (see `KernelShap::explain_with_baseline`; same caching hook);
+    /// panics as [`Self::explain`]. This is [`Self::plan`] used once.
     pub fn explain_with_baseline(
         &self,
         model: &dyn Predictor,
@@ -73,23 +68,29 @@ impl Lime {
         background: &[f64],
         expected: f64,
     ) -> Attribution {
-        let active = crate::sparsity_mask(x, background);
-        let k = active.len();
-        crate::check_coalition_width(k);
-        let mut values = vec![0.0; x.len()];
-        if k == 0 {
-            return Attribution { values, expected };
-        }
+        self.plan(x, background).explain(model, expected)
+    }
 
-        let masks = self.masks(k);
-        let fvals = crate::predict_distinct_coalitions(model, x, background, &active, &masks);
-        let beta = self.surrogate(k, &masks, &fvals);
-        for (j, &feat) in active.iter().enumerate() {
-            values[feat] = beta[j + 1];
-        }
-        // LIME's natural "expected" is its intercept; we keep the model's
-        // background prediction for comparability with SHAP outputs.
-        Attribution { values, expected }
+    /// The perturbation plan at `x` against `background`, for any number
+    /// of models (see [`CoalitionPlan`]). Panics as [`Self::explain`].
+    pub fn plan<'a>(&self, x: &'a [f64], background: &'a [f64]) -> CoalitionPlan<'a> {
+        CoalitionPlan::new(x, background, Surrogate::Lime, |k| {
+            let masks = self.masks(k);
+            // Proximity weights: distance = fraction of switched-off features.
+            let width2 = self.config.kernel_width * self.config.kernel_width;
+            let weights: Vec<f64> = masks
+                .iter()
+                .map(|m| (k - m.count_ones() as usize) as f64 / k as f64)
+                .map(|off| (-off * off / width2).exp())
+                .collect();
+            // Design: intercept, then one column per active feature.
+            let design = Matrix::from_fn(masks.len(), k + 1, |r, j| match j {
+                0 => 1.0,
+                _ => (masks[r] >> (j - 1) & 1) as f64,
+            });
+            let factor = WlsFactor::new(&design, &weights, self.config.ridge).ok();
+            (masks, factor)
+        })
     }
 
     /// Perturbation masks over `k` active features (bit `j` = active
@@ -106,37 +107,37 @@ impl Lime {
         }
         masks
     }
-
-    /// The local surrogate over the perturbations `masks` and their model
-    /// values `fvals`: intercept first, then one coefficient per active
-    /// feature.
-    fn surrogate(&self, k: usize, masks: &[usize], fvals: &[f64]) -> Vec<f64> {
-        // Proximity weights: distance = fraction of switched-off features.
-        let weights: Vec<f64> = masks
-            .iter()
-            .map(|mask| {
-                let off = (k - mask.count_ones() as usize) as f64 / k as f64;
-                (-off * off / (self.config.kernel_width * self.config.kernel_width)).exp()
-            })
-            .collect();
-
-        // Design: intercept + one column per active feature.
-        let mut design = Matrix::zeros(masks.len(), k + 1);
-        for (r, &mask) in masks.iter().enumerate() {
-            design[(r, 0)] = 1.0;
-            for j in 0..k {
-                design[(r, j + 1)] = (mask >> j & 1) as f64;
-            }
-        }
-        weighted_least_squares(&design, fvals, &weights, self.config.ridge)
-            .unwrap_or_else(|_| vec![0.0; k + 1])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FnPredictor;
+
+    impl Lime {
+        /// The surrogate fitted to every mask's own value `fvals` by one
+        /// weighted least squares, as LIME fitted it before coalition plans:
+        /// the reference the distinct-mask tests compare against. Intercept
+        /// first, then one coefficient per active feature.
+        fn surrogate(&self, k: usize, masks: &[usize], fvals: &[f64]) -> Vec<f64> {
+            let weights: Vec<f64> = masks
+                .iter()
+                .map(|mask| {
+                    let off = (k - mask.count_ones() as usize) as f64 / k as f64;
+                    (-off * off / (self.config.kernel_width * self.config.kernel_width)).exp()
+                })
+                .collect();
+            let mut design = Matrix::zeros(masks.len(), k + 1);
+            for (r, &mask) in masks.iter().enumerate() {
+                design[(r, 0)] = 1.0;
+                for j in 0..k {
+                    design[(r, j + 1)] = (mask >> j & 1) as f64;
+                }
+            }
+            aiio_linalg::weighted_least_squares(&design, fvals, &weights, self.config.ridge)
+                .unwrap_or_else(|_| vec![0.0; k + 1])
+        }
+    }
 
     #[test]
     fn recovers_linear_coefficients() {

@@ -166,7 +166,7 @@ pub fn openpmd(tuned: bool, base: &StorageConfig) -> AppRun {
 }
 
 /// VPIC-style particle checkpoint (Byna et al.'s trillion-particle runs,
-/// the paper's ref [10]): every rank dumps its particle buffer. Untuned,
+/// the paper's ref \[10\]): every rank dumps its particle buffer. Untuned,
 /// each rank writes its own interleaved region with the default 1 MiB
 /// stripe; tuned, ranks write large aligned blocks over a wider stripe
 /// (the tuning the VPIC I/O studies applied).
@@ -222,7 +222,7 @@ pub fn vpic(tuned: bool, base: &StorageConfig) -> AppRun {
     }
 }
 
-/// ML-training input pipeline (Paul et al., the paper's ref [36]): many
+/// ML-training input pipeline (Paul et al., the paper's ref \[36\]): many
 /// small random sample reads per worker. Untuned, every sample is its own
 /// random read; tuned, samples are batched into large sequential reads
 /// from a pre-shuffled file.

@@ -18,4 +18,4 @@ pub mod solve;
 pub mod stats;
 
 pub use matrix::Matrix;
-pub use solve::{cholesky_solve, ridge_regression, weighted_least_squares, SolveError};
+pub use solve::{weighted_least_squares, SolveError, WlsFactor};

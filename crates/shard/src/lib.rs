@@ -23,7 +23,7 @@
 //!    quarantined, the fleet opens the follower instead
 //!    ([`fleet::ShardRole::Replica`]) and re-seeds the primary on the
 //!    next replication pass.
-//! 3. **Width is a parameter, not a commitment.** [`rebalance`] streams
+//! 3. **Width is a parameter, not a commitment.** [`rebalance()`] streams
 //!    the fleet into a staged next epoch at a new width and publishes it
 //!    with one atomic manifest swing ([`manifest`]); interrupted runs
 //!    resume, and the result is deterministic — the same rows always

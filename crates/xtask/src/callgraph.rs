@@ -313,7 +313,7 @@ pub struct CallSite {
     pub is_method: bool,
     /// `Qual` of a `Qual::name(` path call, if any.
     pub qualifier: Option<String>,
-    /// True for an empty-argument [`GUARD_METHODS`] call on a receiver
+    /// True for an empty-argument `GUARD_METHODS` call on a receiver
     /// other than `self`: a std lock acquisition.
     pub std_guard: bool,
 }
