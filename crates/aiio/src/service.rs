@@ -24,6 +24,9 @@ pub enum TrainError {
     /// The storage backend failed while streaming the training logs.
     /// (Stringified so `TrainError` stays `Clone + Eq`.)
     Backend(String),
+    /// The train or the validation set has no rows, so there is nothing
+    /// to fit or nothing to score the fits on.
+    EmptySplit { train: usize, valid: usize },
 }
 
 impl std::fmt::Display for TrainError {
@@ -31,6 +34,11 @@ impl std::fmt::Display for TrainError {
         match self {
             TrainError::Zoo(e) => write!(f, "zoo training failed: {e}"),
             TrainError::Backend(e) => write!(f, "storage backend failed: {e}"),
+            TrainError::EmptySplit { train, valid } => write!(
+                f,
+                "empty split: {train} train and {valid} validation rows; \
+                 training needs at least one of each"
+            ),
         }
     }
 }
@@ -135,16 +143,22 @@ impl AiioService {
     }
 
     /// Train on pre-built datasets (exposed for experiments that need
-    /// custom splits).
+    /// custom splits). Both sets need at least one row.
     pub fn train_on_datasets(
         config: &TrainConfig,
         pipeline: FeaturePipeline,
         train: &Dataset,
         valid: &Dataset,
     ) -> Result<AiioService, TrainError> {
+        if train.is_empty() || valid.is_empty() {
+            return Err(TrainError::EmptySplit {
+                train: train.len(),
+                valid: valid.len(),
+            });
+        }
         let zoo = ModelZoo::train(&config.zoo, train, valid)?;
         let validation_rmse = zoo.rmse_per_model(valid);
-        let drift = (!train.is_empty()).then(|| DriftDetector::fit(train));
+        let drift = Some(DriftDetector::fit(train));
         Ok(AiioService {
             pipeline,
             zoo,
@@ -379,6 +393,39 @@ mod tests {
         let mut cfg = TrainConfig::fast();
         cfg.zoo = cfg.zoo.with_kinds(&[]);
         assert!(AiioService::train(&cfg, &db).is_err());
+    }
+
+    #[test]
+    fn training_on_one_job_is_an_empty_split_error() {
+        // Half of one row rounds the row into train, leaving nothing to
+        // validate on.
+        let db = DatabaseSampler::new(SamplerConfig {
+            n_jobs: 1,
+            ..SamplerConfig::default()
+        })
+        .generate();
+        assert_eq!(
+            AiioService::train(&TrainConfig::fast(), &db).unwrap_err(),
+            TrainError::EmptySplit { train: 1, valid: 0 }
+        );
+    }
+
+    #[test]
+    fn training_on_an_empty_validation_set_is_an_error() {
+        let db = DatabaseSampler::new(SamplerConfig {
+            n_jobs: 8,
+            ..SamplerConfig::default()
+        })
+        .generate();
+        let pipeline = FeaturePipeline::paper();
+        let train = pipeline.dataset_of(&db);
+        let valid = train.subset(&[]);
+        let err = AiioService::train_on_datasets(&TrainConfig::fast(), pipeline, &train, &valid)
+            .unwrap_err();
+        assert_eq!(err, TrainError::EmptySplit { train: 8, valid: 0 });
+        let err = AiioService::train_on_datasets(&TrainConfig::fast(), pipeline, &valid, &train)
+            .unwrap_err();
+        assert_eq!(err, TrainError::EmptySplit { train: 0, valid: 8 });
     }
 
     #[test]

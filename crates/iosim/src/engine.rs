@@ -15,7 +15,49 @@ use aiio_darshan::{JobLog, TimeCounters};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Cost breakdown of one rank-group's script plus its server-side demand.
+/// One rank's demand for one [`OpBlock`], split by cause: the only copy of
+/// the storage cost formulas. [`Simulator::simulate`] sums the terms into
+/// the time counters; [`crate::labels::cost_breakdown`] groups them into
+/// bottleneck classes.
+///
+/// A term a block does not incur is `0.0`, so [`BlockCost::client`] and
+/// [`BlockCost::server`] can add every term unconditionally.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct BlockCost {
+    /// The transfer direction, or `None` for a metadata block (open,
+    /// fileno, stat, seek, fsync), whose time counts as metadata time.
+    pub kind: Option<ReadWrite>,
+    /// Client: per-call syscall overhead plus the client-bandwidth time.
+    pub syscall: f64,
+    /// Client: `lseek` calls.
+    pub seek: f64,
+    /// Client: extra copies for unaligned user buffers.
+    pub mem_unaligned: f64,
+    /// Client: `fsync` calls.
+    pub fsync: f64,
+    /// Server: metadata-server service time.
+    pub mds: f64,
+    /// Server: per-RPC base cost at the OSTs, sync-write commits included.
+    pub rpc: f64,
+    /// Server: OST bandwidth time, as if on one OST.
+    pub ost_bandwidth: f64,
+    /// Server: read-modify-write penalties of unaligned accesses.
+    pub unaligned: f64,
+}
+
+impl BlockCost {
+    /// Client-side time of the block.
+    fn client(&self) -> f64 {
+        self.syscall + self.seek + self.mem_unaligned + self.fsync
+    }
+
+    /// Server-side demand of the block.
+    fn server(&self) -> f64 {
+        self.mds + self.rpc + self.ost_bandwidth + self.unaligned
+    }
+}
+
+/// Cost of one rank-group's script plus its server-side demand.
 #[derive(Debug, Default, Clone, Copy)]
 struct GroupCost {
     /// Per-rank client-side wall time, seconds.
@@ -112,175 +154,129 @@ impl Simulator {
 
     /// Cost of one rank's script.
     fn group_cost(&self, script: &[OpBlock]) -> GroupCost {
-        let c = &self.config;
         let mut g = GroupCost::default();
         for block in script {
-            match *block {
-                OpBlock::Open { count } => {
-                    let client = count as f64 * c.client_syscall;
-                    let server = count as f64 * c.open_cost;
-                    g.client += client + server; // opens are synchronous RPCs
+            let cost = self.block_cost(block);
+            let (client, server) = (cost.client(), cost.server());
+            // A rank blocks on its own synchronous server work (opens and
+            // stats included), so its client time includes its server
+            // demand; under contention the shared-server busy term
+            // dominates via the max() in `simulate`.
+            g.client += client + server;
+            match cost.kind {
+                Some(ReadWrite::Read) => {
+                    g.client_read += client;
+                    g.server_read += server;
+                }
+                Some(ReadWrite::Write) => {
+                    g.client_write += client;
+                    g.server_write += server;
+                }
+                None => {
                     g.client_meta += client + server;
                     g.mds += server;
-                }
-                OpBlock::Fileno { count } => {
-                    let t = count as f64 * c.client_syscall;
-                    g.client += t;
-                    g.client_meta += t;
-                }
-                OpBlock::Stat { count } => {
-                    let client = count as f64 * c.client_syscall;
-                    let server = count as f64 * c.stat_cost;
-                    g.client += client + server;
-                    g.client_meta += client + server;
-                    g.mds += server;
-                }
-                OpBlock::Seek { count } => {
-                    let t = count as f64 * c.seek_cost;
-                    g.client += t;
-                    g.client_meta += t;
-                }
-                OpBlock::Fsync { count } => {
-                    let t = count as f64 * c.fsync_cost;
-                    g.client += t;
-                    g.client_meta += t;
-                }
-                OpBlock::Transfer {
-                    kind,
-                    size,
-                    count,
-                    layout,
-                    seek_before_each,
-                    fsync_after_each,
-                    mem_aligned,
-                } => {
-                    if count == 0 || size == 0 {
-                        continue;
-                    }
-                    let bytes = (size * count) as f64;
-                    let nf = count as f64;
-
-                    // Client-side fixed costs for every operation.
-                    let mut client = nf * c.client_syscall + bytes / c.client_max_bw;
-                    if seek_before_each {
-                        client += nf * c.seek_cost;
-                    }
-                    if !mem_aligned {
-                        client += nf * c.mem_unaligned_extra;
-                    }
-
-                    // Alignment violations pay a read-modify-write at the
-                    // OST — but only for operations that reach the OST
-                    // individually. Readahead-served reads and write-back
-                    // coalesced writes hit the server as large aligned
-                    // requests, so they dodge the penalty.
-                    let unaligned = self.unaligned_ops(count, size, layout) as f64;
-
-                    let server = match kind {
-                        ReadWrite::Read => match layout {
-                            AccessLayout::Consecutive => {
-                                let rpcs = self.read_rpcs(count, size, layout) as f64;
-                                rpcs * c.read_rpc_base + bytes / c.ost_read_bw
-                            }
-                            _ => {
-                                let rpcs = self.read_rpcs(count, size, layout) as f64;
-                                rpcs * c.read_rpc_base
-                                    + bytes / c.ost_read_bw
-                                    + unaligned * c.unaligned_extra
-                            }
-                        },
-                        ReadWrite::Write => {
-                            if fsync_after_each {
-                                // Every write is a synchronous commit.
-                                let rpcs = nf * self.rpc_split(size) as f64;
-                                client += nf * c.fsync_cost;
-                                rpcs * (c.write_rpc_base + c.sync_write_extra)
-                                    + bytes / c.ost_write_bw
-                                    + unaligned * c.unaligned_extra
-                            } else {
-                                // The write-back cache aggregates dirty
-                                // data, but only contiguous runs coalesce
-                                // into large RPCs; strided and random small
-                                // writes leave partial dirty pages that each
-                                // become their own RPC.
-                                match layout {
-                                    AccessLayout::Consecutive => {
-                                        let rpcs =
-                                            (bytes / c.writeback_bytes as f64).ceil().max(1.0);
-                                        rpcs * c.write_rpc_base + bytes / c.ost_write_bw
-                                    }
-                                    _ => {
-                                        let rpcs = nf * self.rpc_split(size) as f64;
-                                        rpcs * c.write_rpc_base
-                                            + bytes / c.ost_write_bw
-                                            + unaligned * c.unaligned_extra
-                                    }
-                                }
-                            }
-                        }
-                    };
-
-                    // A rank blocks on its own synchronous server work, so
-                    // its client time includes its server demand; under
-                    // contention the shared-server busy term dominates via
-                    // the max() in `simulate`.
-                    g.client += client + server;
-                    match kind {
-                        ReadWrite::Read => {
-                            g.client_read += client;
-                            g.server_read += server;
-                        }
-                        ReadWrite::Write => {
-                            g.client_write += client;
-                            g.server_write += server;
-                        }
-                    }
                 }
             }
         }
         g
     }
 
-    /// Number of server RPCs for a run of reads: consecutive runs benefit
-    /// from readahead (the server sees large aggregated requests); strided
-    /// and random reads do not.
-    fn read_rpcs(&self, count: u64, size: u64, layout: AccessLayout) -> u64 {
-        match layout {
-            AccessLayout::Consecutive => {
-                let bytes = count * size;
-                bytes.div_ceil(self.config.readahead_bytes).max(1)
+    /// One rank's demand for `block`, split by cause.
+    pub(crate) fn block_cost(&self, block: &OpBlock) -> BlockCost {
+        let c = &self.config;
+        let zero = BlockCost::default();
+        match *block {
+            // Opens and stats are synchronous metadata-server RPCs.
+            OpBlock::Open { count } => BlockCost {
+                syscall: count as f64 * c.client_syscall,
+                mds: count as f64 * c.open_cost,
+                ..zero
+            },
+            OpBlock::Fileno { count } => BlockCost {
+                syscall: count as f64 * c.client_syscall,
+                ..zero
+            },
+            OpBlock::Stat { count } => BlockCost {
+                syscall: count as f64 * c.client_syscall,
+                mds: count as f64 * c.stat_cost,
+                ..zero
+            },
+            OpBlock::Seek { count } => BlockCost {
+                seek: count as f64 * c.seek_cost,
+                ..zero
+            },
+            OpBlock::Fsync { count } => BlockCost {
+                fsync: count as f64 * c.fsync_cost,
+                ..zero
+            },
+            OpBlock::Transfer {
+                kind,
+                size,
+                count,
+                layout,
+                seek_before_each,
+                fsync_after_each,
+                mem_aligned,
+            } => {
+                if count == 0 || size == 0 {
+                    return BlockCost {
+                        kind: Some(kind),
+                        ..zero
+                    };
+                }
+                let bytes = (size * count) as f64;
+                let nf = count as f64;
+                // Readahead-served reads and write-back coalesced writes of
+                // a consecutive run reach the server as few large aligned
+                // requests. Strided and random runs defeat both: every
+                // operation is its own round trip, split into one RPC per
+                // stripe it spans, and pays a read-modify-write at the OST
+                // when unaligned.
+                let per_op_rpcs = nf * size.div_ceil(c.stripe_size).max(1) as f64;
+                let consecutive = layout == AccessLayout::Consecutive;
+                let (rpc, aggregated) = match kind {
+                    ReadWrite::Read if consecutive => {
+                        let rpcs = (size * count).div_ceil(c.readahead_bytes).max(1);
+                        (rpcs as f64 * c.read_rpc_base, true)
+                    }
+                    ReadWrite::Read => (per_op_rpcs * c.read_rpc_base, false),
+                    // Every write is a synchronous commit.
+                    ReadWrite::Write if fsync_after_each => {
+                        (per_op_rpcs * (c.write_rpc_base + c.sync_write_extra), false)
+                    }
+                    ReadWrite::Write if consecutive => {
+                        let rpcs = (bytes / c.writeback_bytes as f64).ceil().max(1.0);
+                        (rpcs * c.write_rpc_base, true)
+                    }
+                    ReadWrite::Write => (per_op_rpcs * c.write_rpc_base, false),
+                };
+                let per_op = |applies: bool, cost: f64| if applies { nf * cost } else { 0.0 };
+                let ost_bw = match kind {
+                    ReadWrite::Read => c.ost_read_bw,
+                    ReadWrite::Write => c.ost_write_bw,
+                };
+                BlockCost {
+                    kind: Some(kind),
+                    syscall: nf * c.client_syscall + bytes / c.client_max_bw,
+                    seek: per_op(seek_before_each, c.seek_cost),
+                    mem_unaligned: per_op(!mem_aligned, c.mem_unaligned_extra),
+                    fsync: per_op(kind == ReadWrite::Write && fsync_after_each, c.fsync_cost),
+                    rpc,
+                    ost_bandwidth: bytes / ost_bw,
+                    unaligned: if aggregated {
+                        0.0
+                    } else {
+                        self.unaligned_ops(count, size, layout) as f64 * c.unaligned_extra
+                    },
+                    ..zero
+                }
             }
-            // Strided and random reads defeat readahead: every operation is
-            // its own round trip (split across stripes if it spans them).
-            _ => count * self.rpc_split(size),
         }
     }
 
-    /// How many OST RPCs one operation of `size` bytes splits into
-    /// (an access spanning stripe boundaries touches several OST objects).
-    fn rpc_split(&self, size: u64) -> u64 {
-        size.div_ceil(self.config.stripe_size).max(1)
-    }
-
-    /// Alignment-violating operations in a run, exposed for the
-    /// ground-truth labeller in [`crate::labels`].
-    pub fn unaligned_ops_public(&self, count: u64, size: u64, layout: AccessLayout) -> u64 {
-        self.unaligned_ops(count, size, layout)
-    }
-
-    /// Alignment-violating operations in a run (mirrors the recorder).
+    /// Alignment-violating operations in a run, against the stripe size.
     fn unaligned_ops(&self, count: u64, size: u64, layout: AccessLayout) -> u64 {
-        let align = self.config.stripe_size;
-        let aligned = |step: u64| -> u64 {
-            let g = crate::recorder::gcd(step, align);
-            let period = align / g;
-            count.div_ceil(period)
-        };
-        match layout {
-            AccessLayout::Consecutive => count - aligned(size),
-            AccessLayout::Strided { stride } => count - aligned(stride),
-            AccessLayout::Random => count,
-        }
+        crate::recorder::unaligned_ops(count, size, layout, self.config.stripe_size)
     }
 }
 

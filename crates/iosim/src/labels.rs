@@ -8,15 +8,16 @@
 //! but our substrate is a simulator, so the true cause is computable: it
 //! is the cost-model component that dominates the job's elapsed time.
 //!
-//! This module decomposes a job's cost into named components and labels
-//! the job with the dominant one, giving every synthetic log an exact
-//! bottleneck tag. `aiio`'s evaluation module uses these tags to score
-//! diagnosis precision/recall — the experiment the paper proposes as
-//! future work.
+//! This module groups the engine's own per-block cost terms into named
+//! components and labels the job with the dominant one, giving every
+//! synthetic log an exact bottleneck tag. It keeps no cost formula of its
+//! own, so the tag always describes the simulator that wrote the log.
+//! `aiio`'s evaluation module uses these tags to score diagnosis
+//! precision/recall — the experiment the paper proposes as future work.
 
 use crate::config::StorageConfig;
 use crate::engine::Simulator;
-use crate::ops::{AccessLayout, JobSpec, OpBlock, ReadWrite};
+use crate::ops::{JobSpec, OpBlock, ReadWrite};
 use serde::{Deserialize, Serialize};
 
 /// The true (generating) bottleneck class of a simulated job.
@@ -118,98 +119,53 @@ impl CostBreakdown {
     }
 }
 
-/// Decompose one job's demand (mirrors the cost model in
-/// [`crate::engine`], by construction of the same formulas).
+/// Decompose one job's demand by grouping the engine's own per-block cost
+/// terms (see `Simulator::block_cost`) into the seven classes, so the label
+/// describes exactly the simulator that generated the log.
 ///
-/// Client-side components (seeks, cache-hit syscalls) parallelize across
-/// ranks, so they contribute *per-rank* time (max over rank groups);
-/// server-side components (MDS, OST RPCs, bandwidth) serialize at the
-/// shared resource, so they aggregate over all ranks — the same asymmetry
-/// the engine's `max(client, server)` encodes.
+/// Client-side seeks parallelize across ranks, so they contribute
+/// *per-rank* time (max over rank groups); server-side terms (MDS, OST
+/// RPCs, alignment penalties, bandwidth) serialize at the shared resource,
+/// so they aggregate over all ranks, with OST bandwidth spread over the
+/// stripe width — the same asymmetry the engine's `max(client, server)`
+/// encodes. The grouping:
+///
+/// * metadata: MDS time, plus the client time of `fileno` calls, which
+///   have no server side;
+/// * sync small writes: the commit RPCs of fsync'd writes, and every fsync;
+/// * read / buffered-write RPCs: the per-RPC cost of the other transfers;
+/// * the remaining client terms (syscalls, client bandwidth, unaligned
+///   buffers) enter no class.
 pub fn cost_breakdown(spec: &JobSpec, config: &StorageConfig) -> CostBreakdown {
     let sim = Simulator::new(config.clone());
-    let c = config;
+    let width = config.stripe_width as f64;
     let mut b = CostBreakdown::default();
-    let mut max_client_seek = 0.0f64;
     for group in &spec.groups {
         let n = group.n_ranks as f64;
         let mut group_seek = 0.0f64;
         for block in &group.script {
+            let t = sim.block_cost(block);
+            group_seek += t.seek;
+            b.metadata_time += n * match block {
+                OpBlock::Fileno { .. } => t.syscall,
+                _ => t.mds,
+            };
             match *block {
-                OpBlock::Open { count } => b.metadata_time += n * count as f64 * c.open_cost,
-                OpBlock::Fileno { count } => b.metadata_time += n * count as f64 * c.client_syscall,
-                OpBlock::Stat { count } => b.metadata_time += n * count as f64 * c.stat_cost,
-                OpBlock::Seek { count } => group_seek += count as f64 * c.seek_cost,
-                OpBlock::Fsync { count } => {
-                    b.sync_write_overhead += n * count as f64 * c.fsync_cost
-                }
                 OpBlock::Transfer {
-                    kind,
-                    size,
-                    count,
-                    layout,
-                    seek_before_each,
-                    fsync_after_each,
+                    kind: ReadWrite::Read,
                     ..
-                } => {
-                    if count == 0 || size == 0 {
-                        continue;
-                    }
-                    let bytes = n * (size * count) as f64;
-                    let nf = n * count as f64;
-                    if seek_before_each {
-                        group_seek += count as f64 * c.seek_cost;
-                    }
-                    let unaligned = n * sim.unaligned_ops_public(count, size, layout) as f64;
-                    match kind {
-                        ReadWrite::Read => {
-                            b.bandwidth_time += bytes / c.aggregate_read_bw();
-                            match layout {
-                                AccessLayout::Consecutive => {
-                                    let rpcs = ((size * count).div_ceil(c.readahead_bytes)).max(1);
-                                    b.read_rpc_overhead += n * rpcs as f64 * c.read_rpc_base;
-                                }
-                                _ => {
-                                    let split = size.div_ceil(c.stripe_size).max(1);
-                                    b.read_rpc_overhead += nf * split as f64 * c.read_rpc_base;
-                                    b.unaligned_penalty += unaligned * c.unaligned_extra;
-                                }
-                            }
-                        }
-                        ReadWrite::Write => {
-                            b.bandwidth_time += bytes / c.aggregate_write_bw();
-                            if fsync_after_each {
-                                let split = size.div_ceil(c.stripe_size).max(1);
-                                b.sync_write_overhead +=
-                                    nf * split as f64 * (c.write_rpc_base + c.sync_write_extra)
-                                        + nf * c.fsync_cost;
-                                b.unaligned_penalty += unaligned * c.unaligned_extra;
-                            } else {
-                                match layout {
-                                    AccessLayout::Consecutive => {
-                                        let rpcs = ((size * count) as f64
-                                            / c.writeback_bytes as f64)
-                                            .ceil()
-                                            .max(1.0);
-                                        b.buffered_write_rpc_overhead +=
-                                            n * rpcs * c.write_rpc_base;
-                                    }
-                                    _ => {
-                                        let split = size.div_ceil(c.stripe_size).max(1);
-                                        b.buffered_write_rpc_overhead +=
-                                            nf * split as f64 * c.write_rpc_base;
-                                        b.unaligned_penalty += unaligned * c.unaligned_extra;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                } => b.read_rpc_overhead += n * t.rpc,
+                OpBlock::Transfer {
+                    fsync_after_each: false,
+                    ..
+                } => b.buffered_write_rpc_overhead += n * t.rpc,
+                _ => b.sync_write_overhead += n * t.rpc + n * t.fsync,
             }
+            b.unaligned_penalty += n * t.unaligned;
+            b.bandwidth_time += n * t.ost_bandwidth / width;
         }
-        max_client_seek = max_client_seek.max(group_seek);
+        b.seek_time = b.seek_time.max(group_seek);
     }
-    b.seek_time = max_client_seek;
     b
 }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// Greatest common divisor (Euclid); `gcd(0, 0)` is defined as 1 so callers
 /// can divide by the result.
-pub(crate) fn gcd(a: u64, b: u64) -> u64 {
+fn gcd(a: u64, b: u64) -> u64 {
     let (mut a, mut b) = (a, b);
     while b != 0 {
         let t = b;
@@ -34,6 +34,18 @@ fn aligned_count(count: u64, step: u64, align: u64) -> u64 {
         count
     } else {
         count.div_ceil(period)
+    }
+}
+
+/// File-alignment violations in a run of `count` accesses of `size` bytes
+/// laid out as `layout`, against alignment `align`: the one alignment rule,
+/// behind both `POSIX_FILE_NOT_ALIGNED` and the engine's read-modify-write
+/// penalty.
+pub(crate) fn unaligned_ops(count: u64, size: u64, layout: AccessLayout, align: u64) -> u64 {
+    match layout {
+        AccessLayout::Consecutive => count - aligned_count(count, size, align),
+        AccessLayout::Strided { stride } => count - aligned_count(count, stride, align),
+        AccessLayout::Random => count, // random byte offsets are effectively never aligned
     }
 }
 
@@ -143,12 +155,7 @@ impl RankCounters {
                         }
                     }
                 }
-                // File-alignment violations.
-                let unaligned = match layout {
-                    AccessLayout::Consecutive => count - aligned_count(count, size, align),
-                    AccessLayout::Strided { stride } => count - aligned_count(count, stride, align),
-                    AccessLayout::Random => count, // random byte offsets are effectively never aligned
-                };
+                let unaligned = unaligned_ops(count, size, layout, align);
                 self.add(CounterId::PosixFileNotAligned, unaligned as f64);
                 // Read/write switch tracking across blocks.
                 if let Some(prev) = self.last_kind {

@@ -122,11 +122,17 @@ impl DatabaseSampler {
 
     /// Generate one job by id.
     pub fn generate_job(&self, job_id: u64) -> JobLog {
-        self.generate_labeled_job(job_id).0
+        self.simulate_job(job_id).2
     }
 
     /// Generate one job plus its ground-truth label.
     pub fn generate_labeled_job(&self, job_id: u64) -> (JobLog, BottleneckClass) {
+        let (spec, sim, log) = self.simulate_job(job_id);
+        (log, ground_truth(&spec, sim.config()))
+    }
+
+    /// Draw job `job_id`'s workload and storage and simulate it.
+    fn simulate_job(&self, job_id: u64) -> (JobSpec, Simulator, JobLog) {
         let mut rng = ChaCha8Rng::seed_from_u64(
             self.config
                 .seed
@@ -134,14 +140,13 @@ impl DatabaseSampler {
                 .wrapping_add(job_id),
         );
         let (spec, storage) = sample_workload(&mut rng);
-        let storage = StorageConfig {
+        let sim = Simulator::new(StorageConfig {
             noise_sigma: self.config.noise_sigma,
             ..storage
-        };
+        });
         let year = sample_year(&mut rng);
-        let label = ground_truth(&spec, &storage);
-        let log = Simulator::new(storage).simulate(&spec, job_id, year, rng.gen());
-        (log, label)
+        let log = sim.simulate(&spec, job_id, year, rng.gen());
+        (spec, sim, log)
     }
 }
 
@@ -430,6 +435,66 @@ mod tests {
         // The sampler should produce at least four distinct classes.
         let distinct: std::collections::HashSet<_> = labels.iter().collect();
         assert!(distinct.len() >= 4, "only {distinct:?}");
+    }
+
+    /// FNV-1a 64 of `bytes`, continued from the running hash `h`.
+    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn labeled_database_matches_its_pinned_fingerprint() {
+        // Both constants were captured at commit c25a32b, before the engine
+        // and the labeller shared one copy of the cost formulas. Any change
+        // to a log's JSON bytes, a job's label or one bit of its cost
+        // breakdown moves them.
+        const LOGS_FNV: u64 = 0xd861_7d71_9cc5_4140;
+        const LABELS_FNV: u64 = 0x131b_9254_ff8b_a60b;
+        let cfg = SamplerConfig {
+            n_jobs: 2000,
+            ..SamplerConfig::default()
+        };
+        let (db, labels) = DatabaseSampler::new(cfg.clone()).generate_labeled();
+        let path =
+            std::env::temp_dir().join(format!("aiio_sampler_pin_{}.json", std::process::id()));
+        db.save_json(&path).unwrap();
+        let json = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let logs_fnv = fnv1a(0xcbf2_9ce4_8422_2325, &json);
+
+        let mut labels_fnv = 0xcbf2_9ce4_8422_2325;
+        for (job_id, label) in labels.iter().enumerate() {
+            // The sampler's own draw for this job, replayed.
+            let mut rng = ChaCha8Rng::seed_from_u64(
+                cfg.seed
+                    .wrapping_mul(0x9E37_79B9)
+                    .wrapping_add(job_id as u64),
+            );
+            let (spec, storage) = sample_workload(&mut rng);
+            let b = crate::labels::cost_breakdown(&spec, &storage);
+            assert_eq!(b.dominant(), *label, "job {job_id}");
+            labels_fnv = fnv1a(labels_fnv, label.name().as_bytes());
+            for v in [
+                b.seek_time,
+                b.metadata_time,
+                b.sync_write_overhead,
+                b.read_rpc_overhead,
+                b.buffered_write_rpc_overhead,
+                b.unaligned_penalty,
+                b.bandwidth_time,
+            ] {
+                labels_fnv = fnv1a(labels_fnv, &v.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(
+            (logs_fnv, labels_fnv),
+            (LOGS_FNV, LABELS_FNV),
+            "got LOGS_FNV = {logs_fnv:#018x}, LABELS_FNV = {labels_fnv:#018x}"
+        );
     }
 
     #[test]

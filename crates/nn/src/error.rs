@@ -26,7 +26,8 @@ pub enum DimensionError {
     },
     /// `fit` was called with no training rows.
     EmptyTrainingSet,
-    /// `fit` was called with `x` and `y` of different lengths.
+    /// `fit` was called with `x` and `y` (or the validation pair's `x` and
+    /// `y`) of different lengths.
     LengthMismatch {
         /// Rows in `x`.
         x: usize,
@@ -69,6 +70,28 @@ impl fmt::Display for DimensionError {
 }
 
 impl std::error::Error for DimensionError {}
+
+/// The input checks every `fit` makes before training: a non-empty
+/// training set, and `x` and `y` of equal length in the training pair and
+/// in the validation pair.
+pub(crate) fn check_fit_inputs(
+    x: &[Vec<f64>],
+    y: &[f64],
+    valid: Option<(&[Vec<f64>], &[f64])>,
+) -> Result<(), DimensionError> {
+    if x.is_empty() {
+        return Err(DimensionError::EmptyTrainingSet);
+    }
+    for (x, y) in std::iter::once((x, y)).chain(valid) {
+        if x.len() != y.len() {
+            return Err(DimensionError::LengthMismatch {
+                x: x.len(),
+                y: y.len(),
+            });
+        }
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

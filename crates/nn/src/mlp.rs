@@ -3,7 +3,7 @@
 //! hidden layers, trained with Adam on MSE loss with early stopping.
 
 use crate::adam::Adam;
-use crate::error::DimensionError;
+use crate::error::{check_fit_inputs, DimensionError};
 use crate::layers::{BatchNorm, Dense, Dropout, ReLu};
 use crate::EpochRecord;
 use aiio_linalg::Matrix;
@@ -113,15 +113,7 @@ impl Mlp {
         valid: Option<(&[Vec<f64>], &[f64])>,
     ) -> Result<Mlp, DimensionError> {
         config.validate()?;
-        if x.is_empty() {
-            return Err(DimensionError::EmptyTrainingSet);
-        }
-        if x.len() != y.len() {
-            return Err(DimensionError::LengthMismatch {
-                x: x.len(),
-                y: y.len(),
-            });
-        }
+        check_fit_inputs(x, y, valid)?;
         let n_features = x[0].len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
@@ -435,6 +427,11 @@ mod tests {
         assert_eq!(
             Mlp::fit(&cfg, &x, &[1.0, 2.0], None).err(),
             Some(crate::DimensionError::LengthMismatch { x: 1, y: 2 })
+        );
+        let valid_x = vec![vec![1.0, 2.0]; 3];
+        assert_eq!(
+            Mlp::fit(&cfg, &x, &[1.0], Some((&valid_x, &[1.0, 2.0]))).err(),
+            Some(crate::DimensionError::LengthMismatch { x: 3, y: 2 })
         );
     }
 

@@ -15,7 +15,7 @@
 //! the tests.
 
 use crate::adam::Adam;
-use crate::error::DimensionError;
+use crate::error::{check_fit_inputs, DimensionError};
 use crate::EpochRecord;
 use aiio_linalg::func::{relu, relu_grad, sparsemax_in_place, sparsemax_jvp};
 use aiio_linalg::Matrix;
@@ -185,15 +185,7 @@ impl TabNet {
         valid: Option<(&[Vec<f64>], &[f64])>,
     ) -> Result<TabNet, DimensionError> {
         config.validate()?;
-        if x.is_empty() {
-            return Err(DimensionError::EmptyTrainingSet);
-        }
-        if x.len() != y.len() {
-            return Err(DimensionError::LengthMismatch {
-                x: x.len(),
-                y: y.len(),
-            });
-        }
+        check_fit_inputs(x, y, valid)?;
         let d_in = x[0].len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let steps = (0..config.n_steps)
@@ -659,6 +651,25 @@ mod tests {
         let a = TabNet::fit(&cfg, &x, &y, None).unwrap();
         let b = TabNet::fit(&cfg, &x, &y, None).unwrap();
         assert_eq!(a.predict(&x), b.predict(&x));
+    }
+
+    #[test]
+    fn fit_rejects_empty_and_mismatched_inputs() {
+        let cfg = TabNetConfig::small();
+        assert_eq!(
+            TabNet::fit(&cfg, &[], &[], None).err(),
+            Some(crate::DimensionError::EmptyTrainingSet)
+        );
+        let x = vec![vec![1.0, 2.0]];
+        assert_eq!(
+            TabNet::fit(&cfg, &x, &[1.0, 2.0], None).err(),
+            Some(crate::DimensionError::LengthMismatch { x: 1, y: 2 })
+        );
+        let valid_x = vec![vec![1.0, 2.0]; 3];
+        assert_eq!(
+            TabNet::fit(&cfg, &x, &[1.0], Some((&valid_x, &[1.0, 2.0]))).err(),
+            Some(crate::DimensionError::LengthMismatch { x: 3, y: 2 })
+        );
     }
 
     #[test]

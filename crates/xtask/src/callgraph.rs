@@ -133,6 +133,7 @@ const STD_QUALIFIERS: &[&str] = &[
     "Cell",
     "Condvar",
     "Duration",
+    "Error",
     "File",
     "HashMap",
     "HashSet",
@@ -471,6 +472,21 @@ mod tests {
         let g = CallGraph::build(&ws);
         let caller = g.nodes.iter().position(|n| n.name == "caller").unwrap();
         assert_eq!(g.callees(caller).len(), 1);
+    }
+
+    #[test]
+    fn std_io_error_constructors_do_not_resolve() {
+        let ws = ws(&[(
+            "crates/a/src/lib.rs",
+            "pub struct Pool;\nimpl Pool { pub fn new() -> Pool { Pool } }\n\
+             pub fn caller() -> std::io::Error { std::io::Error::new(kind, \"x\") }\n",
+        )]);
+        let g = CallGraph::build(&ws);
+        let caller = g.nodes.iter().position(|n| n.name == "caller").unwrap();
+        assert!(
+            g.callees(caller).is_empty(),
+            "`std::io::Error::new(` must not resolve to a workspace `new`"
+        );
     }
 
     #[test]
