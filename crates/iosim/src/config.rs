@@ -103,16 +103,6 @@ impl StorageConfig {
         self.stripe_size = size;
         self
     }
-
-    /// Aggregate read bandwidth across the OSTs used by the file.
-    pub fn aggregate_read_bw(&self) -> f64 {
-        self.ost_read_bw * self.stripe_width as f64
-    }
-
-    /// Aggregate write bandwidth across the OSTs used by the file.
-    pub fn aggregate_write_bw(&self) -> f64 {
-        self.ost_write_bw * self.stripe_width as f64
-    }
 }
 
 impl Default for StorageConfig {
@@ -137,7 +127,6 @@ mod tests {
         let c = StorageConfig::cori_like().with_stripe(4, 4 * MIB);
         assert_eq!(c.stripe_width, 4);
         assert_eq!(c.stripe_size, 4 * MIB);
-        assert!((c.aggregate_read_bw() - 4.0 * c.ost_read_bw).abs() < 1.0);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! `Simulator::group_cost` in the engine and a hand-kept copy in
 //! `labels::cost_breakdown`, with the file-alignment rule kept a third time
 //! in the recorder. The `reference` module below keeps those earlier
-//! versions verbatim (only renamed, and with `self.config` read from a
-//! local struct). Every test here asserts that the current one-copy model
+//! versions verbatim (only renamed, with `self.config` read from a local
+//! struct, and with the since-deleted one-line `StorageConfig` helpers
+//! `aggregate_read_bw`/`aggregate_write_bw` inlined as the bandwidth of
+//! one OST times `stripe_width`). Every test here asserts that the current one-copy model
 //! reproduces them bit for bit (`to_bits`), on sampled workloads and on
 //! the paper's fixtures.
 
@@ -334,7 +336,7 @@ mod reference {
                         let unaligned = n * sim.unaligned_ops(count, size, layout) as f64;
                         match kind {
                             ReadWrite::Read => {
-                                b.bandwidth_time += bytes / c.aggregate_read_bw();
+                                b.bandwidth_time += bytes / (c.ost_read_bw * c.stripe_width as f64);
                                 match layout {
                                     AccessLayout::Consecutive => {
                                         let rpcs =
@@ -349,7 +351,8 @@ mod reference {
                                 }
                             }
                             ReadWrite::Write => {
-                                b.bandwidth_time += bytes / c.aggregate_write_bw();
+                                b.bandwidth_time +=
+                                    bytes / (c.ost_write_bw * c.stripe_width as f64);
                                 if fsync_after_each {
                                     let split = size.div_ceil(c.stripe_size).max(1);
                                     b.sync_write_overhead +=

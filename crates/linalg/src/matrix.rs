@@ -129,13 +129,75 @@ impl Matrix {
 
     /// Matrix multiply `self * other`.
     ///
-    /// The inner loops run in `ikj` order so the innermost accesses both
-    /// operands sequentially, which lets the compiler vectorise.
+    /// One packed, register-tiled kernel: the rows of `other` that meet a
+    /// nonzero column of `self` are packed into 8-column panels, and 4 × 8
+    /// tiles of the output accumulate in registers across them. All-zero
+    /// columns of `self` (absent counters in coalition rows, dead ReLU
+    /// units) cost nothing. An AVX2 build of the kernel runs when the CPU
+    /// has AVX2.
+    ///
+    /// Each output element sums the same products in the same ascending
+    /// `k` order, from `+0.0`, as the plain `ikj` loop with an exact-zero
+    /// skip. The tile also adds the `±0` products of zeros in `self`; a
+    /// sum that starts at `+0.0` is never `-0.0` under round-to-nearest,
+    /// so those leave it unchanged, as long as `other` is finite. A
+    /// non-finite `other` (where `0 * inf` would be NaN) takes the `ikj`
+    /// loop instead, so the bits are the loop's either way.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
+        if !other.data.iter().all(|b| b.is_finite()) {
+            return self.matmul_ikj(other);
+        }
+        self.packed_product(other, true)
+    }
+
+    /// `matmul`'s tile kernel without the finite guard: its live rows of
+    /// `other` packed into panels, then [`Matrix::tiled`].
+    fn packed_product(&self, other: &Matrix, avx2: bool) -> Matrix {
+        let live = self.live_cols();
+        let n = other.cols;
+        let mut panels = vec![[0.0; LANES]; live.len() * n.div_ceil(LANES)];
+        for (idx, &k) in live.iter().enumerate() {
+            for (p, b) in other.row(k).chunks(LANES).enumerate() {
+                panels[p * live.len() + idx][..b.len()].copy_from_slice(b);
+            }
+        }
+        self.tiled(&live, &panels, n, avx2)
+    }
+
+    /// `self * wᵀ` without building the transpose, for gradient products
+    /// like `dy Wᵀ`.
+    ///
+    /// The same kernel as [`Matrix::matmul`], with its panels packed
+    /// straight from the rows of `w`, so the bits are those of
+    /// `self.matmul(&w.transpose())`.
+    ///
+    /// # Panics
+    /// Panics if `self.cols != w.cols`.
+    pub fn matmul_transpose(&self, w: &Matrix) -> Matrix {
+        assert_eq!(self.cols, w.cols, "matmul_transpose dimension mismatch");
+        if !w.data.iter().all(|b| b.is_finite()) {
+            return self.matmul_ikj(&w.transpose());
+        }
+        let live = self.live_cols();
+        let mut panels = vec![[0.0; LANES]; live.len() * w.rows.div_ceil(LANES)];
+        for j in 0..w.rows {
+            let w_row = w.row(j);
+            let panel = &mut panels[j / LANES * live.len()..];
+            for (slot, &k) in panel.iter_mut().zip(&live) {
+                slot[j % LANES] = w_row[k];
+            }
+        }
+        self.tiled(&live, &panels, w.rows, true)
+    }
+
+    /// The plain `ikj` product with an exact-zero skip: `matmul`'s answer
+    /// when the right operand is not finite, and the reference its tile
+    /// kernel is tested against.
+    fn matmul_ikj(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         let n = other.cols;
         out.data.chunks_mut(n).enumerate().for_each(|(i, out_row)| {
@@ -151,6 +213,41 @@ impl Matrix {
                 }
             }
         });
+        out
+    }
+
+    /// Ascending indices of the columns with at least one nonzero entry.
+    fn live_cols(&self) -> Vec<usize> {
+        let mut live = vec![false; self.cols];
+        for row in self.data.chunks(self.cols.max(1)) {
+            for (l, &a) in live.iter_mut().zip(row) {
+                // xtask-allow: AIIO-F001 — exact-zero test: an all-zero column adds nothing (the finite guard covers `0 * inf`)
+                *l |= a != 0.0;
+            }
+        }
+        (0..self.cols).filter(|&k| live[k]).collect()
+    }
+
+    /// `self * B` for the `B` that `panels` packs: for each block of
+    /// [`LANES`] output columns, one run of `live.len()` rows of `B`, the
+    /// `idx`-th holding row `live[idx]`, zero-padded past `n`.
+    ///
+    /// `avx2` lets the AVX2 build of the kernel run when the CPU has it;
+    /// both builds compute the same bits (tests pin the plain one too).
+    fn tiled(&self, live: &[usize], panels: &[[f64; LANES]], n: usize, avx2: bool) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, n);
+        if live.is_empty() || n == 0 {
+            return out;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx2 && std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `tiles_avx2` is `tile_rows` compiled for AVX2, and
+            // the line above checked that this CPU has it.
+            unsafe { tiles_avx2(self, live, panels, &mut out.data) };
+            return out;
+        }
+        let _ = avx2; // read only on x86_64
+        tile_rows(self, live, panels, &mut out.data);
         out
     }
 
@@ -297,6 +394,77 @@ impl Matrix {
     }
 }
 
+/// Output columns per register tile: two AVX2 registers of `f64`.
+const LANES: usize = 8;
+
+/// Rows per full register tile: the 4 × 8 accumulator fills eight AVX2
+/// registers and reuses each packed `B` row four times.
+const TILE_ROWS: usize = 4;
+
+/// The tile kernel, compiled for AVX2.
+///
+/// # Safety
+/// Outside AVX2 code a call needs `unsafe`: the caller must first check
+/// that the CPU has AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiles_avx2(a: &Matrix, live: &[usize], panels: &[[f64; LANES]], out: &mut [f64]) {
+    tile_rows(a, live, panels, out);
+}
+
+/// The one source of the tile kernel, inlined into both builds (the
+/// plain one in [`Matrix::tiled`], and `tiles_avx2`): full
+/// [`TILE_ROWS`]-row tiles, then one-row tiles for the remainder.
+#[inline(always)]
+fn tile_rows(a: &Matrix, live: &[usize], panels: &[[f64; LANES]], out: &mut [f64]) {
+    let full = a.rows - a.rows % TILE_ROWS;
+    let mut quad = vec![[0.0; TILE_ROWS]; live.len()];
+    for i0 in (0..full).step_by(TILE_ROWS) {
+        row_block(a, i0, live, panels, &mut quad, out);
+    }
+    let mut single = vec![[0.0; 1]; live.len()];
+    for i0 in full..a.rows {
+        row_block(a, i0, live, panels, &mut single, out);
+    }
+}
+
+/// Rows `i0..i0 + R` of the product. Their live entries are gathered
+/// into `a_pack`; then, per panel, an `R × LANES` accumulator starts at
+/// `+0.0`, adds one product per live `k` in ascending order, and its
+/// valid columns are stored.
+#[inline(always)]
+fn row_block<const R: usize>(
+    a: &Matrix,
+    i0: usize,
+    live: &[usize],
+    panels: &[[f64; LANES]],
+    a_pack: &mut [[f64; R]],
+    out: &mut [f64],
+) {
+    for (dst, &k) in a_pack.iter_mut().zip(live) {
+        for (r, d) in dst.iter_mut().enumerate() {
+            *d = a.data[(i0 + r) * a.cols + k];
+        }
+    }
+    let n = out.len() / a.rows;
+    for (p, panel) in panels.chunks_exact(live.len()).enumerate() {
+        let mut acc = [[0.0; LANES]; R];
+        for (av, bv) in a_pack.iter().zip(panel) {
+            for (acc_r, &ar) in acc.iter_mut().zip(av) {
+                for (o, &b) in acc_r.iter_mut().zip(bv) {
+                    *o += ar * b;
+                }
+            }
+        }
+        let c0 = p * LANES;
+        let width = LANES.min(n - c0);
+        for (r, acc_r) in acc.iter().enumerate() {
+            let start = (i0 + r) * n + c0;
+            out[start..start + width].copy_from_slice(&acc_r[..width]);
+        }
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
 
@@ -344,6 +512,148 @@ mod tests {
         );
     }
 
+    /// Bits with every NaN read as one: Rust leaves NaN payloads
+    /// unspecified, so only "NaN here" is a property of the arithmetic.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        let nan = f64::NAN.to_bits();
+        m.as_slice()
+            .iter()
+            .map(|x| if x.is_nan() { nan } else { x.to_bits() })
+            .collect()
+    }
+
+    /// A value drawn from the awkward corners: exact and negative zeros,
+    /// subnormals, magnitudes whose products overflow to `inf`, and (when
+    /// `non_finite`) `inf` and NaN themselves.
+    fn awkward(rng: &mut impl rand::Rng, non_finite: bool) -> f64 {
+        match rng.gen_range(0..if non_finite { 12 } else { 10 }) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => rng.gen_range(-4.0..4.0) * f64::MIN_POSITIVE,
+            4 => f64::from_bits(rng.gen_range(1..8)),
+            5 => rng.gen_range(-1.0..1.0) * 1e300,
+            10 => f64::NAN,
+            11 => f64::NEG_INFINITY,
+            _ => rng.gen_range(-2.0..2.0),
+        }
+    }
+
+    /// A `rows x cols` matrix of [`awkward`] values, with about a third of
+    /// its columns all zero (as dead ReLU units and absent counters are).
+    fn awkward_matrix(
+        rng: &mut impl rand::Rng,
+        rows: usize,
+        cols: usize,
+        non_finite: bool,
+    ) -> Matrix {
+        let dead: Vec<bool> = (0..cols).map(|_| rng.gen_range(0..3) == 0).collect();
+        Matrix::from_fn(rows, cols, |_, j| {
+            if dead[j] {
+                0.0
+            } else {
+                awkward(rng, non_finite)
+            }
+        })
+    }
+
+    #[test]
+    fn tile_kernel_is_bit_identical_to_the_ikj_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(30);
+        let avx2 = is_avx2();
+        let ms = (0..=13).chain([131]);
+        let ns: Vec<usize> = (1..=20).chain([89]).collect();
+        let mut cases = 0;
+        for m in ms {
+            for &n in &ns {
+                // Every `k` in 0..=47 comes up across the `m` sweep.
+                for k in [rng.gen_range(0..=47), (m * 21 + n) % 48] {
+                    // `A` may hold NaN and `inf`; `B` is finite, so the
+                    // tile kernel itself runs.
+                    let a = awkward_matrix(&mut rng, m, k, true);
+                    let b = awkward_matrix(&mut rng, k, n, false);
+                    let want = bits(&a.matmul_ikj(&b));
+                    let plain = a.packed_product(&b, false);
+                    assert_eq!((plain.rows(), plain.cols()), (m, n));
+                    assert_eq!(bits(&plain), want, "plain build, {m}x{k}x{n}");
+                    if avx2 {
+                        let simd = a.packed_product(&b, true);
+                        assert_eq!(bits(&simd), want, "AVX2 build, {m}x{k}x{n}");
+                    }
+                    assert_eq!(bits(&a.matmul(&b)), want, "matmul, {m}x{k}x{n}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 15 * 21 * 2);
+    }
+
+    /// Whether this CPU runs the AVX2 build.
+    fn is_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    #[test]
+    fn non_finite_weights_take_the_ikj_fallback() {
+        // Zeros in `a` meet `inf` and NaN in `b`: the loop skips them, a
+        // tile would add `0 * inf = NaN`.
+        let a = Matrix::from_rows(&[
+            vec![0.0, 1.0, -0.0],
+            vec![2.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.0],
+            vec![1.0, 1.0, 0.0],
+            vec![0.0, -3.0, 0.5],
+        ]);
+        let b = Matrix::from_rows(&[
+            vec![f64::INFINITY, 1.0, 0.0],
+            vec![2.0, f64::NAN, -1.0],
+            vec![0.0, 4.0, f64::NEG_INFINITY],
+        ]);
+        let want = a.matmul_ikj(&b);
+        assert_eq!(bits(&a.matmul(&b)), bits(&want));
+        assert_eq!(want[(0, 0)], 2.0, "the loop skips 0 * inf");
+        // The guard is load-bearing: the unguarded tile reads NaN there.
+        assert!(a.packed_product(&b, false)[(0, 0)].is_nan());
+        assert_eq!(
+            bits(&a.matmul_transpose(&b.transpose())),
+            bits(&want),
+            "matmul_transpose falls back too"
+        );
+    }
+
+    #[test]
+    fn matmul_transpose_is_bit_identical_to_matmul_of_the_transpose() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
+        for (m, k, n) in [
+            (0, 3, 4),
+            (5, 0, 3),
+            (1, 1, 1),
+            (7, 9, 17),
+            (64, 90, 89),
+            (131, 47, 9),
+            (13, 29, 1),
+        ] {
+            for non_finite_w in [false, true] {
+                let a = awkward_matrix(&mut rng, m, k, true);
+                let w = awkward_matrix(&mut rng, n, k, non_finite_w);
+                let got = a.matmul_transpose(&w);
+                assert_eq!((got.rows(), got.cols()), (m, n));
+                assert_eq!(bits(&got), bits(&a.matmul(&w.transpose())));
+                assert_eq!(bits(&got), bits(&a.matmul_ikj(&w.transpose())));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_transpose dimension mismatch")]
+    fn matmul_transpose_rejects_mismatched_shapes() {
+        let _ = Matrix::zeros(2, 3).matmul_transpose(&Matrix::zeros(3, 2));
+    }
+
     #[test]
     #[should_panic(expected = "matmul dimension mismatch")]
     fn matmul_rejects_mismatched_shapes() {
@@ -372,7 +682,6 @@ mod tests {
                 _ => rng.gen_range(-2.0..2.0),
             });
             let b = Matrix::from_fn(rows, b_cols, |_, _| rng.gen_range(-1e3..1e3));
-            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let got = a.transpose_matmul(&b);
             assert_eq!((got.rows(), got.cols()), (a_cols, b_cols));
             assert_eq!(bits(&got), bits(&a.transpose().matmul(&b)));

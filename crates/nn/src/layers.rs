@@ -77,7 +77,7 @@ impl Dense {
             }
         }
         self.gb = gb;
-        Ok(dy.matmul(&self.w.transpose()))
+        Ok(dy.matmul_transpose(&self.w))
     }
 }
 

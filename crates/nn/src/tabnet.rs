@@ -380,17 +380,17 @@ impl TabNet {
             let dd_pre = d_agg.zip_map(&cache.d_pre.map(relu_grad), |g, r| g * r);
             let gdec_w = cache.h.transpose_matmul(&dd_pre);
             let gdec_b = col_sums(&dd_pre);
-            let mut dh = dd_pre.matmul(&step.dec_w.transpose());
+            let mut dh = dd_pre.matmul_transpose(&step.dec_w);
             // Attention branch (gradient arriving from the next step).
             let da_pre = grad_a.zip_map(&cache.a_pre.map(relu_grad), |g, r| g * r);
             let gatt_w = cache.h.transpose_matmul(&da_pre);
             let gatt_b = col_sums(&da_pre);
-            dh.axpy(1.0, &da_pre.matmul(&step.att_w.transpose()));
+            dh.axpy(1.0, &da_pre.matmul_transpose(&step.att_w));
             // Feature transformer.
             let dh_pre = dh.zip_map(&cache.h_pre.map(relu_grad), |g, r| g * r);
             let gft_w = cache.xm.transpose_matmul(&dh_pre);
             let gft_b = col_sums(&dh_pre);
-            let dxm = dh_pre.matmul(&step.ft_w.transpose());
+            let dxm = dh_pre.matmul_transpose(&step.ft_w);
             // Mask gradient through xm = x ⊙ mask.
             let dmask = dxm.zip_map(x, |g, xv| g * xv);
             // Through sparsemax and the prior product (prior is constant).
@@ -404,7 +404,7 @@ impl TabNet {
             // Attention linear layer.
             let gattn_w = cache.a_prev.transpose_matmul(&dz);
             let gattn_b = col_sums(&dz);
-            grad_a = dz.matmul(&step.attn_w.transpose());
+            grad_a = dz.matmul_transpose(&step.attn_w);
             grads[si] = Some(StepGrads {
                 attn_w: gattn_w,
                 attn_b: gattn_b,

@@ -2,8 +2,9 @@
 //! parameters and of each row alone:
 //!
 //! * a prediction does not depend on how a batch is split — whole batch,
-//!   one row at a time, and the `aiio_par::chunk_bounds` partition that
-//!   parallel explainers use all give the same bits;
+//!   one row at a time, the `aiio_par::chunk_bounds` partition and the
+//!   `aiio_par::batch_bounds` partition that `map_chunks` hands the
+//!   parallel explainers all give the same bits;
 //! * a fitted model carries no training state: it equals its serde round
 //!   trip field for field and predicts the same bits.
 
@@ -24,12 +25,15 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|p| p.to_bits()).collect()
 }
 
-/// Whole batch == row by row == concatenated `chunk_bounds` chunks.
+/// Whole batch == row by row == concatenated `chunk_bounds` chunks ==
+/// concatenated `map_chunks` (`batch_bounds`) chunks.
 fn assert_split_invariant(
-    predict: impl Fn(&[Vec<f64>]) -> Vec<f64>,
+    predict: impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync,
     predict_one: impl Fn(&[f64]) -> f64,
 ) {
-    let (x, _) = data(203, 99);
+    // 931 rows, as many as one job's distinct coalitions: `map_chunks`
+    // splits them into 7 chunks of 133, with full and remainder tiles.
+    let (x, _) = data(931, 99);
     let whole = bits(&predict(&x));
     assert_eq!(whole.len(), x.len());
     let rows: Vec<f64> = x.iter().map(|r| predict_one(r)).collect();
@@ -46,6 +50,15 @@ fn assert_split_invariant(
         bits(&chunks),
         whole,
         "chunked predictions differ from the batch"
+    );
+    let batches = aiio_par::batch_bounds(x.len());
+    assert_eq!(batches.len(), 7);
+    assert!(batches.iter().all(|&(start, end)| end - start >= 128));
+    let mapped = aiio_par::map_chunks(&x, |chunk| predict(chunk));
+    assert_eq!(
+        bits(&mapped),
+        whole,
+        "map_chunks predictions differ from the batch"
     );
 }
 

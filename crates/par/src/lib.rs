@@ -8,7 +8,8 @@
 //! guarantees that by construction:
 //!
 //! * **Stable chunking** — chunk boundaries are a pure function of input
-//!   *length*, never of thread count or timing ([`chunk_bounds`]).
+//!   *length*, never of thread count or timing ([`chunk_bounds`], and
+//!   [`batch_bounds`] for [`map_chunks`]).
 //! * **Index-ordered reduction** — workers claim chunks by atomic counter
 //!   (timing-dependent) but return `(chunk_index, results)` pairs that are
 //!   sorted by index before concatenation, so the output order is the input
@@ -103,17 +104,17 @@ where
 }
 
 /// Deterministic parallel map over *slices*: `f` receives each chunk of
-/// the stable partition and returns one result per element. Because the
-/// partition depends only on `items.len()`, a chunk-at-a-time computation
-/// (e.g. batched model prediction) sees the same slices — and therefore
-/// produces the same bytes — at every thread count, including 1.
+/// the [`batch_bounds`] partition and returns one result per element.
+/// Because the partition depends only on `items.len()`, a chunk-at-a-time
+/// computation (e.g. batched model prediction) sees the same slices — and
+/// therefore produces the same bytes — at every thread count, including 1.
 pub fn map_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T]) -> Vec<R> + Sync,
 {
-    let bounds = chunk_bounds(items.len());
+    let bounds = batch_bounds(items.len());
     run_chunks(&bounds, |&(start, end)| f(&items[start..end]))
 }
 
@@ -122,14 +123,32 @@ where
 /// negligible. The value only affects scheduling, never results.
 const MAX_CHUNKS: usize = 64;
 
+/// Fewest items in a [`map_chunks`] chunk (unless the whole input is
+/// shorter). Batched prediction runs a register-tiled matrix product per
+/// chunk, which needs rows to fill its tiles and to repay packing the
+/// weights; chunks of a dozen rows leave it slower than a plain loop.
+const MIN_BATCH: usize = 128;
+
 /// The stable partition of `len` items: contiguous `(start, end)` ranges
 /// covering `0..len` in order. A pure function of `len` — this is the
 /// "stable chunking" half of the determinism contract.
 pub fn chunk_bounds(len: usize) -> Vec<(usize, usize)> {
+    partition(len, len.min(MAX_CHUNKS))
+}
+
+/// The stable partition [`map_chunks`] hands out: like [`chunk_bounds`],
+/// but every chunk has at least `MIN_BATCH` (128) items, so a 931-row
+/// batch splits into 7 chunks instead of 64. Also a pure function of `len`.
+pub fn batch_bounds(len: usize) -> Vec<(usize, usize)> {
+    partition(len, (len / MIN_BATCH).clamp(1, MAX_CHUNKS))
+}
+
+/// `len` items in `n_chunks` contiguous ranges whose sizes differ by at
+/// most one, the longer ones first.
+fn partition(len: usize, n_chunks: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
     }
-    let n_chunks = len.min(MAX_CHUNKS);
     let base = len / n_chunks;
     let extra = len % n_chunks;
     let mut bounds = Vec::with_capacity(n_chunks);
@@ -250,6 +269,30 @@ mod tests {
         assert_eq!(par.len(), items.len());
         assert_eq!(par[0].1, 0.0);
         assert_eq!(par[320].1, 320.0);
+        // The slices are exactly the `batch_bounds` partition.
+        let sizes: Vec<usize> = batch_bounds(items.len())
+            .into_iter()
+            .flat_map(|(s, e)| std::iter::repeat_n(e - s, e - s))
+            .collect();
+        assert_eq!(par.iter().map(|&(n, _)| n).collect::<Vec<_>>(), sizes);
+    }
+
+    #[test]
+    fn batch_bounds_cover_input_in_chunks_of_at_least_min_batch() {
+        for len in [0, 1, 127, 128, 255, 256, 931, 8191, 8192, 100_000] {
+            let bounds = batch_bounds(len);
+            let mut covered = 0;
+            for &(s, e) in &bounds {
+                assert_eq!(s, covered, "gap at len {len}");
+                assert!(e - s >= MIN_BATCH.min(len), "short chunk at len {len}");
+                covered = e;
+            }
+            assert_eq!(covered, len);
+            assert!(bounds.len() <= MAX_CHUNKS);
+        }
+        assert_eq!(batch_bounds(931).len(), 7);
+        assert_eq!(batch_bounds(127), vec![(0, 127)]);
+        assert_eq!(batch_bounds(100_000).len(), MAX_CHUNKS);
     }
 
     #[test]
